@@ -2,7 +2,8 @@
 
 Every command honors --seed and writes artifacts whose bytes depend
 only on the flags, so reruns are diffable.  Exit codes: 0 success,
-2 usage or parse failure, 3 numerical failure, 4 I/O failure.
+2 usage or parse failure, 3 numerical failure (each as the error class's
+``exit_code``), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,22 +22,11 @@ from .data import (
     gen_flipped_blobs,
     gen_xor,
     load_csv,
+    parse_cell,
     save_dataset,
     top_norm_select,
 )
-from .errors import (
-    DegenerateClusterError,
-    DegenerateEmbeddingError,
-    DimensionError,
-    FieldError,
-    FormatError,
-    MetricSizeError,
-    NegativeDistanceError,
-    NumericalError,
-    OracleSizeError,
-    ParseError,
-    ZeroVectorError,
-)
+from .errors import FormatError, InvkernError, ParseError
 from .figures import heatmap_svg, scatter_svg
 from .invariance import (
     PROJ,
@@ -52,38 +42,12 @@ from .kernels import BaseKernel, eval_base
 from .spectral import build_gram, check_psd, cluster_gram, clustering_accuracy
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_PARSE_ERRORS = (ParseError, FormatError)
-_NUMERIC_ERRORS = (
-    DegenerateClusterError,
-    DegenerateEmbeddingError,
-    DimensionError,
-    FieldError,
-    MetricSizeError,
-    NegativeDistanceError,
-    NumericalError,
-    OracleSizeError,
-    ZeroVectorError,
-)
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    cells = text.split(",")
-    values = []
-    for column, cell in enumerate(cells, start=1):
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise ParseError(
-                f"malformed vector {text!r}: bad cell at column {column}",
-                column=column,
-            ) from None
-    if not values:
-        raise ParseError(f"empty vector {text!r}")
-    return np.array(values)
+    cells = enumerate(text.split(","), start=1)
+    return np.array([parse_cell(cell, f"vector {text!r}", None, col) for col, cell in cells])
 
 
 def _build_spec(args, points=None) -> KernelSpec:
@@ -425,12 +389,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _PARSE_ERRORS as exc:
+    except InvkernError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

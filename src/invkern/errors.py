@@ -2,7 +2,13 @@
 
 
 class InvkernError(Exception):
-    """Base class for all invkern errors."""
+    """Base class for all invkern errors.
+
+    ``exit_code`` is the CLI exit status: 3, a numerical failure, unless
+    a parse or usage error class overrides it with 2.
+    """
+
+    exit_code = 3
 
 
 class DimensionError(InvkernError):
@@ -34,7 +40,7 @@ class OracleSizeError(InvkernError):
 
 
 class NumericalError(InvkernError):
-    """A numerical routine failed to converge."""
+    """A numerical routine failed to converge or met non-finite values."""
 
 
 class DegenerateEmbeddingError(InvkernError):
@@ -45,12 +51,16 @@ class DegenerateClusterError(InvkernError):
     """A cluster is too small for the requested estimate."""
 
 
-class MetricSizeError(InvkernError):
-    """Too many classes for exhaustive permutation matching."""
+class ValidationError(InvkernError, ValueError):
+    """A parameter outside its valid range, e.g. sigma <= 0 or k > N."""
+
+    exit_code = 2
 
 
 class FormatError(InvkernError):
     """Structurally malformed input file."""
+
+    exit_code = 2
 
     def __init__(self, message, line=None):
         super().__init__(message)
@@ -59,6 +69,8 @@ class FormatError(InvkernError):
 
 class ParseError(InvkernError):
     """Unparseable cell, token, or flag value."""
+
+    exit_code = 2
 
     def __init__(self, message, line=None, column=None):
         super().__init__(message)

@@ -17,13 +17,16 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import FieldError, OracleSizeError, ParseError, ZeroVectorError
-from .kernels import (
-    BaseKernel,
-    ScalarTriple,
-    eval_base,
-    make_triple,
+from .errors import (
+    DimensionError,
+    FieldError,
+    NumericalError,
+    OracleSizeError,
+    ParseError,
+    ValidationError,
+    ZeroVectorError,
 )
+from .kernels import BaseKernel, ScalarTriple, eval_base, squared_distance
 
 KINDS = ("rotation", "phase", "scale", "proj", "chain")
 
@@ -34,6 +37,10 @@ _VALIDATED_PAIRS = frozenset(
 )
 
 _MAX_CHAIN_DEPTH = 4
+
+# Rows of the triple field rewritten at once.  Bounds the temporaries of
+# the rewrite and of the base kernel to TILE_ROWS x N values.
+TILE_ROWS = 128
 
 
 class ChainCompatibilityWarning(UserWarning):
@@ -55,17 +62,17 @@ class Invariance:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown invariance kind {self.kind!r}")
+            raise ValidationError(f"unknown invariance kind {self.kind!r}")
         if self.kind == "rotation" and self.m < 2:
-            raise ValueError("rotation order m must be at least 2")
+            raise ValidationError("rotation order m must be at least 2")
         if self.kind == "chain":
             object.__setattr__(self, "parts", tuple(self.parts))
             if not self.parts:
-                raise ValueError("chain must contain at least one invariance")
+                raise ValidationError("chain must contain at least one invariance")
             if any(not isinstance(p, Invariance) for p in self.parts):
-                raise ValueError("chain parts must be Invariance instances")
+                raise ValidationError("chain parts must be Invariance instances")
             if _depth(self) > _MAX_CHAIN_DEPTH:
-                raise ValueError(f"chain nesting deeper than {_MAX_CHAIN_DEPTH}")
+                raise ValidationError(f"chain nesting deeper than {_MAX_CHAIN_DEPTH}")
             _warn_if_unvalidated(self)
 
 
@@ -75,7 +82,9 @@ def _depth(spec: Invariance) -> int:
     return 1 + max(_depth(p) for p in spec.parts)
 
 
-def _flatten(spec: Invariance) -> list:
+def _flatten(spec: Invariance | None) -> list:
+    if spec is None:
+        return []
     if spec.kind != "chain":
         return [spec]
     out = []
@@ -265,12 +274,16 @@ def sample_group_element(spec: Invariance, rng, complex_field: bool) -> GroupEle
 # Invariant inner kernels via triple rewriting
 
 
-def transform_triples(spec: Invariance, sxx, sxy, syy):
+def transform_triples(spec: Invariance | None, sxx, sxy, syy):
     """Rewrite triple components into the invariance's orbit geometry.
 
     Works elementwise on arrays; chains fold left to right, each stage
-    consuming the triple produced by the previous one.
+    consuming the triple produced by the previous one.  No invariance
+    (``None``) leaves the triple as it is.  Scale and proj divide by
+    sxx * syy; :func:`triple_tiles` rejects zero-norm points before.
     """
+    if spec is None:
+        return sxx, sxy, syy
     if spec.kind == "chain":
         for part in spec.parts:
             sxx, sxy, syy = transform_triples(part, sxx, sxy, syy)
@@ -280,43 +293,69 @@ def transform_triples(spec: Invariance, sxx, sxy, syy):
     if spec.kind == "phase":
         return sxx**2, np.real(sxy * np.conj(sxy)), syy**2
     denom = np.asarray(sxx, dtype=float) * np.asarray(syy, dtype=float)
-    zero = np.atleast_1d(denom == 0.0)
-    if np.any(zero):
-        raise ZeroVectorError(
-            f"{spec.kind} invariance is undefined for zero-norm points "
-            f"(offending pair index {int(np.argmax(zero))})"
-        )
     ones = np.ones_like(denom)
     if spec.kind == "scale":
         return ones, sxy / np.sqrt(denom), ones
     return ones, np.real(sxy * np.conj(sxy)) / denom, ones
 
 
-def _requires_complex(spec: Invariance) -> bool:
-    return any(p.kind == "rotation" and p.m >= 3 for p in _flatten(spec))
-
-
-def _check_field(spec: Invariance, complex_data: bool) -> None:
+def _check_field(spec: Invariance | None, complex_data: bool) -> None:
     # Root-of-unity actions with m >= 3 move real vectors out of R^n.
-    if not complex_data and _requires_complex(spec):
+    if not complex_data and any(p.kind == "rotation" and p.m >= 3 for p in _flatten(spec)):
         raise FieldError("rotation invariance with m >= 3 requires complex data")
 
 
-def _scalarize(value):
-    value = complex(value)
-    return value if value.imag != 0.0 else value.real
+def triple_tiles(points, spec: Invariance | None):
+    """Row tiles of the upper triangle of a 2-D point array's triple field.
+
+    Entry (i, j) is (<x_i,x_i>, <x_i,x_j>, <x_j,x_j>), read from S = X @ X^H
+    with the norms taken from Re diag(S), which keeps RBF diagonals
+    exactly 1.  Yields ``(start, (sxx, sxy, syy))`` for rows
+    start:start+TILE_ROWS and columns start:N, rewritten by
+    :func:`transform_triples`; the arrays broadcast to one shape.
+    """
+    points = np.asarray(points)
+    points = points.astype(np.promote_types(points.dtype, np.float64), copy=False)
+    _check_field(spec, np.iscomplexobj(points))
+    # Overflow and NaN are reported as a NumericalError below, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = points @ points.conj().T
+    norms = np.real(np.diagonal(inner))
+    if any(p.kind in ("scale", "proj") for p in _flatten(spec)):
+        zero = norms == 0.0
+        if np.any(zero):
+            raise ZeroVectorError(
+                f"point {int(np.argmax(zero))} has zero norm; "
+                f"{format_invariance(spec)} invariance is undefined there"
+            )
+    for start in range(0, len(points), TILE_ROWS):
+        rows = slice(start, start + TILE_ROWS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            triple = transform_triples(
+                spec, norms[rows, None], inner[rows, start:], norms[None, start:]
+            )
+        finite = np.isfinite(triple[0]) & np.isfinite(triple[1]) & np.isfinite(triple[2])
+        if not np.all(finite):
+            i, j = np.unravel_index(np.argmin(finite), finite.shape)
+            raise NumericalError(
+                f"non-finite kernel triple at pair ({start + i}, {start + j}); "
+                "the points overflow the invariance's rewrite or are not finite"
+            )
+        yield start, triple
 
 
 def kernel_triple(spec: KernelSpec, x, y) -> ScalarTriple:
-    """The scalar-product triple the base kernel will consume."""
+    """The scalar-product triple the base kernel will consume.
+
+    The two-point case of :func:`triple_tiles`: entry (0, 1) of [x; y].
+    """
     x = np.asarray(x)
     y = np.asarray(y)
-    t = make_triple(x, y)
-    if spec.invariance is None:
-        return t
-    _check_field(spec.invariance, np.iscomplexobj(x) or np.iscomplexobj(y))
-    sxx, sxy, syy = transform_triples(spec.invariance, t.sxx, t.sxy, t.syy)
-    return ScalarTriple(float(sxx), _scalarize(sxy), float(syy))
+    if x.ndim != 1 or x.shape != y.shape or x.size < 1:
+        raise DimensionError(f"incompatible shapes {x.shape} and {y.shape}")
+    _, triple = next(triple_tiles(np.stack([x, y]), spec.invariance))
+    sxx, sxy, syy = (t[0, 1] for t in np.broadcast_arrays(*triple))
+    return ScalarTriple(float(sxx), sxy.item(), float(syy))
 
 
 def invariant_inner(spec: Invariance, x, y):
@@ -434,20 +473,13 @@ def median_heuristic_sigma(points, invariance: Invariance | None = None) -> floa
     so no explicit quotient features are formed.
     """
     pts = np.asarray(getattr(points, "points", points))
-    n = len(pts)
-    if n < 2:
-        raise ValueError("median heuristic needs at least two points")
-    if invariance is not None:
-        _check_field(invariance, np.iscomplexobj(pts))
-    rows, cols = np.triu_indices(n, k=1)
-    norms_sq = np.real(np.sum(pts * np.conj(pts), axis=1))
-    sxy = np.sum(pts[rows] * np.conj(pts[cols]), axis=1)
-    sxx = norms_sq[rows]
-    syy = norms_sq[cols]
-    if invariance is not None:
-        sxx, sxy, syy = transform_triples(invariance, sxx, sxy, syy)
-    d2 = np.maximum(sxx - 2.0 * np.real(sxy) + syy, 0.0)
-    return max(float(np.median(np.sqrt(d2))), 1e-12)
+    if len(pts) < 2:
+        raise ValidationError("median heuristic needs at least two points")
+    distances = []
+    for _, triple in triple_tiles(pts, invariance):
+        d2 = squared_distance(*triple)
+        distances.append(np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]))
+    return max(float(np.median(np.concatenate(distances))), 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NegativeDistanceError
+from .errors import DimensionError, NegativeDistanceError, ValidationError
 
 FAMILIES = ("linear", "gaussian", "laplace", "poly", "polyhom")
 
@@ -31,11 +31,11 @@ class BaseKernel:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+            raise ValidationError(f"unknown kernel family {self.family!r}")
         if self.family in ("gaussian", "laplace") and not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+            raise ValidationError(f"sigma must be positive, got {self.sigma}")
         if self.family in ("poly", "polyhom") and self.degree < 1:
-            raise ValueError("degree must be at least 1")
+            raise ValidationError(f"degree must be at least 1, got {self.degree}")
 
 
 def linear() -> BaseKernel:

@@ -9,24 +9,17 @@ eigenvalue, normalize rows, and run angular k-means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
+from .data import best_matching
 from .errors import (
     DegenerateEmbeddingError,
-    MetricSizeError,
     NegativeDistanceError,
     NumericalError,
-    ZeroVectorError,
+    ValidationError,
 )
-from .invariance import (
-    KernelSpec,
-    _check_field,
-    _flatten,
-    kernel_label,
-    transform_triples,
-)
+from .invariance import KernelSpec, triple_tiles
 from .kernels import base_values
 
 
@@ -62,10 +55,6 @@ class ClusteringResult:
     degenerate: bool = False
 
 
-def _points_of(data) -> np.ndarray:
-    return np.asarray(getattr(data, "points", data))
-
-
 def _gram_values(gram) -> np.ndarray:
     return np.asarray(getattr(gram, "values", gram), dtype=float)
 
@@ -73,40 +62,29 @@ def _gram_values(gram) -> np.ndarray:
 def build_gram(data, spec: KernelSpec) -> GramMatrix:
     """Pairwise kernel matrix; only the upper triangle is evaluated.
 
-    Entry (i, j) equals eval_kernel(spec, x_i, x_j); the lower triangle
-    is mirrored, so the result is exactly symmetric.
+    Entry (i, j) equals eval_kernel(spec, x_i, x_j).  The base kernel
+    runs on the row tiles of :func:`invkern.invariance.triple_tiles`, and
+    the upper triangle is mirrored, so the result is exactly symmetric.
     """
-    points = _points_of(data)
+    points = np.asarray(getattr(data, "points", data))
     n = len(points)
     if n < 2:
-        raise ValueError("need at least two points to build a Gram matrix")
-    inv = spec.invariance
-    if inv is not None:
-        _check_field(inv, np.iscomplexobj(points))
-        if any(p.kind in ("scale", "proj") for p in _flatten(inv)):
-            norms_sq = np.real(np.sum(points * np.conj(points), axis=1))
-            if np.any(norms_sq == 0.0):
-                raise ZeroVectorError(
-                    f"point {int(np.argmax(norms_sq == 0.0))} has zero norm; "
-                    f"{kernel_label(spec)} is undefined there"
-                )
-    rows, cols = np.triu_indices(n)
-    norms_sq = np.real(np.sum(points * np.conj(points), axis=1))
-    sxy = np.sum(points[rows] * np.conj(points[cols]), axis=1)
-    sxx = norms_sq[rows]
-    syy = norms_sq[cols]
-    if inv is not None:
-        sxx, sxy, syy = transform_triples(inv, sxx, sxy, syy)
-    try:
-        values = base_values(spec.base, sxx, sxy, syy)
-    except NegativeDistanceError as err:
-        i, j = int(rows[err.index]), int(cols[err.index])
-        raise NegativeDistanceError(
-            f"kernel evaluation failed for pair ({i}, {j}): {err}", index=err.index
-        ) from err
+        raise ValidationError("need at least two points to build a Gram matrix")
     gram = np.zeros((n, n))
-    gram[rows, cols] = values
-    gram[cols, rows] = values
+    for start, triple in triple_tiles(points, spec.invariance):
+        try:
+            values = base_values(spec.base, *triple)
+        except NegativeDistanceError as err:
+            i, j = np.unravel_index(err.index, np.broadcast(*triple).shape)
+            raise NegativeDistanceError(
+                f"kernel evaluation failed for pair ({start + i}, {start + j}): {err}",
+                index=err.index,
+            ) from err
+        stop = start + len(values)
+        gram[start:stop, start:] = np.triu(values)
+        # Rows below this tile are still zero in these columns, so adding
+        # the transposed strict upper triangle mirrors it exactly.
+        gram[start:, start:stop] += np.triu(values, 1).T
     meta = getattr(data, "meta", None)
     source = meta.get("name") if isinstance(meta, dict) else None
     return GramMatrix(gram, spec, n, source)
@@ -132,7 +110,7 @@ def sym_eig(gram) -> EigenDecomposition:
     """
     values = _gram_values(gram)
     if len(values) > 5000:
-        raise ValueError("dense eigendecomposition limited to N <= 5000")
+        raise ValidationError("dense eigendecomposition limited to N <= 5000")
     try:
         eigenvalues, vectors = np.linalg.eigh(values)
     except np.linalg.LinAlgError as err:
@@ -173,7 +151,7 @@ def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
     values = _gram_values(gram)
     n = len(values)
     if not 1 <= n_axes <= n:
-        raise ValueError(f"n_axes must be in [1, {n}], got {n_axes}")
+        raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
     if eig is None:
         eig = sym_eig(gram)
     _, contributions = renyi_entropy(gram, eig)
@@ -264,9 +242,9 @@ def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0,
     if pts.ndim == 1:
         pts = pts[:, None]
     if not 1 <= k <= len(pts):
-        raise ValueError(f"k must be in [1, {len(pts)}], got {k}")
+        raise ValidationError(f"k must be in [1, {len(pts)}], got {k}")
     if metric not in ("euclidean", "angular"):
-        raise ValueError(f"unknown metric {metric!r}")
+        raise ValidationError(f"unknown metric {metric!r}")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(n_restarts):
@@ -307,26 +285,14 @@ def spectral_cluster(data, spec: KernelSpec, k: int, seed: int = 0,
 
 
 def clustering_accuracy(labels, truth) -> float:
-    """Best label-permutation agreement rate in [0, 1].
-
-    Exhaustive over label matchings, so the union of label alphabets is
-    capped at 8 classes.
-    """
+    """Best label-permutation agreement rate in [0, 1]."""
     labels = np.asarray(labels).ravel()
     truth = np.asarray(truth).ravel()
     if labels.shape != truth.shape:
         raise ValueError("labels and truth must have the same length")
-    classes = sorted(set(labels.tolist()) | set(truth.tolist()))
-    if len(classes) > 8:
-        raise MetricSizeError(
-            f"{len(classes)} classes exceed the exhaustive matching limit of 8"
-        )
-    index = {c: i for i, c in enumerate(classes)}
-    m = len(classes)
+    classes, codes = np.unique(np.concatenate([labels, truth]), return_inverse=True)
+    m, n = len(classes), len(labels)
     confusion = np.zeros((m, m), dtype=int)
-    for a, b in zip(labels.tolist(), truth.tolist()):
-        confusion[index[a], index[b]] += 1
-    best = max(
-        sum(confusion[i, p[i]] for i in range(m)) for p in permutations(range(m))
-    )
-    return best / len(labels)
+    np.add.at(confusion, (codes[:n], codes[n:]), 1)
+    best = int(confusion[np.arange(m), best_matching(-confusion)].sum())
+    return best / n

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from invkern import gen_xor, save_dataset
 from invkern.cli import main
@@ -55,6 +56,26 @@ class TestEval:
         )
         assert code == 2
         assert "column 2" in err
+
+    def test_non_finite_vector_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--sigma", "1", "--x", "1,nan", "--y", "3,4",
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err and "column 2" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--sigma", "-1"), "sigma must be positive"),
+        (("--kernel", "poly", "--degree", "0"), "degree must be at least 1"),
+        (("--sigma", "1", "--inv", "chain(chain(chain(chain(scale,sign),sign),sign),sign)"),
+         "nesting deeper"),
+    ])
+    @pytest.mark.filterwarnings("ignore::invkern.ChainCompatibilityWarning")
+    def test_invalid_kernel_parameter_exits_2(self, capsys, flags, message):
+        code, _, err = run(capsys, "eval", *flags, "--x", "1,2", "--y", "3,4")
+        assert code == 2
+        assert message in err
 
     def test_writes_json_record(self, capsys, tmp_path):
         out_dir = tmp_path / "record"
@@ -114,6 +135,29 @@ class TestGram:
         expected = build_gram(data, KernelSpec(gaussian(1.5), SIGN)).values
         assert np.array_equal(reread, expected)
 
+    def test_overflowing_triple_exits_3(self, capsys, tmp_path):
+        # sign invariance squares the triple; 1e200 already overflows <x,x>
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("1e200,1\n2,3\n")
+        out_dir = tmp_path / "o"
+        code, _, err = run(
+            capsys, "gram", "--input", str(csv_path), "--inv", "sign",
+            "--sigma", "1", "--out", str(out_dir),
+        )
+        assert code == 3
+        assert "pair (0, 0)" in err
+        assert not (out_dir / "psd.json").exists()
+
+    def test_single_point_exits_2(self, capsys, tmp_path):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("1,2\n")
+        code, _, err = run(
+            capsys, "gram", "--input", str(csv_path), "--sigma", "1",
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert "at least two points" in err
+
     def test_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "gram", "--input", str(tmp_path / "nope.csv"),
@@ -165,6 +209,16 @@ class TestCluster:
             "--kernel", "gaussian", "--sigma", "1", "--out", str(tmp_path / "o"),
         )
         assert code == 2
+
+    def test_k_above_point_count_is_usage_error(self, capsys, tmp_path):
+        csv_path = tmp_path / "three.csv"
+        csv_path.write_text("1,2\n3,4\n5,7\n")
+        code, _, err = run(
+            capsys, "cluster", "--input", str(csv_path), "--k", "5",
+            "--kernel", "gaussian", "--sigma", "1", "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert "n_axes must be in [1, 3]" in err
 
 
 class TestExperiment:

@@ -1,5 +1,7 @@
 """Generator, CSV, and mixing-estimation tests."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from invkern import (
     save_dataset,
     top_norm_select,
 )
+from invkern.data import best_matching
 from invkern.errors import DegenerateClusterError, FormatError, ParseError
 
 
@@ -261,6 +264,32 @@ class TestEstimateMixing:
     def test_small_cluster_rejected(self):
         with pytest.raises(DegenerateClusterError):
             estimate_mixing(np.eye(2), np.array([0, 1]))
+
+
+class TestBestMatching:
+    def test_matches_exhaustive_search(self):
+        rng = np.random.default_rng(70)
+        for n in range(1, 7):
+            for _ in range(20):
+                cost = rng.integers(0, 4, size=(n, n)).astype(float)  # many ties
+                best = min(
+                    sum(cost[i, p[i]] for i in range(n)) for p in permutations(range(n))
+                )
+                matched = best_matching(cost)
+                assert sorted(matched) == list(range(n))
+                assert cost[np.arange(n), matched].sum() == best
+
+    def test_matches_scipy_beyond_exhaustive_size(self):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = np.random.default_rng(71)
+        for n in (9, 15, 40):
+            cost = rng.random((n, n))
+            rows, cols = linear_sum_assignment(cost)
+            matched = best_matching(cost)
+            assert sorted(matched) == list(range(n))
+            assert cost[np.arange(n), matched].sum() == pytest.approx(
+                cost[rows, cols].sum(), abs=1e-12
+            )
 
 
 class TestCanonicalDirection:
