@@ -76,6 +76,7 @@ from .spectral import (
     renyi_entropy,
     spectral_cluster,
     sym_eig,
+    truncated_eig,
 )
 
 __version__ = "0.1.0"

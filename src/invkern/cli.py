@@ -26,7 +26,7 @@ from .data import (
     save_dataset,
     top_norm_select,
 )
-from .errors import FormatError, InvkernError, ParseError
+from .errors import FormatError, InvkernError, NumericalError, ParseError
 from .figures import heatmap_svg, scatter_svg
 from .invariance import (
     PROJ,
@@ -135,7 +135,12 @@ def cmd_eval(args) -> int:
         y = _parse_vector(args.y)
     spec = _build_spec(args)
     triple = kernel_triple(spec, x, y)
-    value = eval_base(spec.base, triple)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = eval_base(spec.base, triple)
+    if not np.isfinite(value):
+        raise NumericalError(
+            "non-finite kernel value at pair (0, 1); the base kernel overflows on these points"
+        )
     record = {
         "command": "eval",
         "kernel": kernel_label(spec),
@@ -190,6 +195,8 @@ def _cluster_metrics(result, spec, data) -> dict:
         "seed": result.seed,
         "inertia": result.inertia,
         "entropy_total": result.entropy_total,
+        "eigenpairs": len(result.entropy_contributions),
+        "entropy_residual": result.entropy_total - float(np.sum(result.entropy_contributions)),
         "selected_axes": list(result.selected_axes),
         "entropy_selected": [float(result.entropy_contributions[a]) for a in result.selected_axes],
         "degenerate": result.degenerate,
@@ -205,6 +212,8 @@ def cmd_cluster(args) -> int:
     if args.k < 2:
         raise ParseError("--k must be at least 2")
     data = load_csv(args.input, has_labels=args.labeled)
+    if args.k > len(data):
+        raise ParseError(f"--k {args.k} exceeds the point count {len(data)} of {args.input}")
     spec = _build_spec(args, points=data.points)
     gram = build_gram(data, spec)
     result = cluster_gram(gram, args.k, seed=args.seed)

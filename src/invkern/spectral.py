@@ -3,7 +3,9 @@
 The clustering pipeline is entropy-ranked kernel spectral clustering:
 eigendecompose the uncentered Gram matrix, keep the axes contributing
 most to the quadratic Renyi entropy estimate, scale them by sqrt of the
-eigenvalue, normalize rows, and run angular k-means.
+eigenvalue, normalize rows, and run angular k-means.  From
+``LANCZOS_MIN_N`` points on, only the top eigenpairs that certify that
+selection are computed (:func:`truncated_eig`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ from .errors import (
 )
 from .invariance import KernelSpec, triple_tiles
 from .kernels import base_values
+
+# Point count from which clustering computes only the certified top
+# eigenpairs.  Measured crossover in a fresh process, where the truncated
+# path also pays the one-off scipy import (about 0.25 s): dense eigh wins
+# up to about 1250 points, Lanczos from 1500 on (see README).
+LANCZOS_MIN_N = 1500
 
 
 @dataclass
@@ -73,13 +81,22 @@ def build_gram(data, spec: KernelSpec) -> GramMatrix:
     gram = np.zeros((n, n))
     for start, triple in triple_tiles(points, spec.invariance):
         try:
-            values = base_values(spec.base, *triple)
+            # Overflow is reported as a NumericalError below, not warned.
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = base_values(spec.base, *triple)
         except NegativeDistanceError as err:
             i, j = np.unravel_index(err.index, np.broadcast(*triple).shape)
             raise NegativeDistanceError(
                 f"kernel evaluation failed for pair ({start + i}, {start + j}): {err}",
                 index=err.index,
             ) from err
+        finite = np.isfinite(values)
+        if not np.all(finite):
+            i, j = np.unravel_index(np.argmin(finite), finite.shape)
+            raise NumericalError(
+                f"non-finite kernel value at pair ({start + i}, {start + j}); "
+                "the base kernel overflows on these points"
+            )
         stop = start + len(values)
         gram[start:stop, start:] = np.triu(values)
         # Rows below this tile are still zero in these columns, so adding
@@ -102,19 +119,9 @@ def check_psd(gram):
     return min_eigenvalue, passed
 
 
-def sym_eig(gram) -> EigenDecomposition:
-    """Dense symmetric eigendecomposition, descending, fixed signs.
-
-    The sign convention makes the largest-magnitude component of each
-    eigenvector positive, so outputs are reproducible across runs.
-    """
-    values = _gram_values(gram)
-    if len(values) > 5000:
-        raise ValidationError("dense eigendecomposition limited to N <= 5000")
-    try:
-        eigenvalues, vectors = np.linalg.eigh(values)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"eigendecomposition did not converge: {err}") from err
+def _descending(eigenvalues, vectors) -> EigenDecomposition:
+    # Largest-magnitude component of each eigenvector made positive, so
+    # outputs are reproducible across runs and across solvers.
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
@@ -124,29 +131,92 @@ def sym_eig(gram) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues, vectors)
 
 
+def sym_eig(gram, n_axes: int | None = None) -> EigenDecomposition:
+    """Symmetric eigendecomposition, descending, fixed signs.
+
+    Without ``n_axes``, all N eigenpairs from dense ``eigh`` (N <= 5000).
+    With ``n_axes`` and N >= ``LANCZOS_MIN_N``, only the top eigenpairs
+    that certify the entropy selection of ``n_axes`` axes
+    (:func:`truncated_eig`).  The sign convention makes the
+    largest-magnitude component of each eigenvector positive, so outputs
+    are reproducible across runs.
+    """
+    values = _gram_values(gram)
+    if n_axes is not None and len(values) >= LANCZOS_MIN_N:
+        return truncated_eig(values, n_axes)
+    if len(values) > 5000:
+        raise ValidationError("dense eigendecomposition limited to N <= 5000")
+    try:
+        eigenvalues, vectors = np.linalg.eigh(values)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"eigendecomposition did not converge: {err}") from err
+    return _descending(eigenvalues, vectors)
+
+
+def _contributions(eig: EigenDecomposition, n: int) -> np.ndarray:
+    projections = eig.eigenvectors.T @ np.ones(n)
+    return eig.eigenvalues * projections**2 / n**2
+
+
+def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
+    """Top M eigenpairs, enough to select ``n_axes`` entropy axes exactly.
+
+    Lanczos (``eigsh``) computes the top M = 2 * n_axes eigenpairs, and M
+    doubles until a certificate holds: an axis that was not computed
+    contributes at most max(lambda_M, 0) / N, since (v'1)^2 <= N, so once
+    the n_axes-th largest computed contribution exceeds that bound (by a
+    relative 1e-9 for solver tolerance) the selection equals the dense
+    one.  When M would pass N/2 uncertified, or Lanczos fails, the result
+    is the dense :func:`sym_eig`.  Order and signs follow :func:`sym_eig`.
+    """
+    # Imported here: scipy adds about 0.25 s to every fresh process, and
+    # only clustering at N >= LANCZOS_MIN_N needs it.
+    from scipy.sparse.linalg import ArpackError, eigsh
+
+    values = _gram_values(gram)
+    n = len(values)
+    if not 1 <= n_axes <= n:
+        raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
+    # A random start, not ones(N): the Krylov space of ones cannot reach
+    # eigenvectors orthogonal to it, which would void the certificate.
+    v0 = np.random.default_rng(0).standard_normal(n)
+    m = 2 * n_axes
+    while m <= n // 2:
+        try:
+            eig = _descending(*eigsh(values, k=m, which="LA", v0=v0))
+        except ArpackError:
+            break
+        bound = max(eig.eigenvalues[-1], 0.0) / n
+        if np.sort(_contributions(eig, n))[-n_axes] > bound * (1.0 + 1e-9):
+            return eig
+        m *= 2
+    return sym_eig(values)
+
+
 def renyi_entropy(gram, eig: EigenDecomposition | None = None):
     """Entropy mass (1'K1)/N^2 and its per-axis decomposition.
 
-    Axis i contributes lambda_i * (v_i' 1)^2 / N^2; the contributions
-    sum back to the total, which is the conservation law the tests pin.
+    Axis i contributes lambda_i * (v_i' 1)^2 / N^2, one value per
+    eigenpair of ``eig``.  Over the full decomposition (the default) the
+    contributions sum back to the total, which is the conservation law
+    the tests pin; over a truncated one they fall short of it.
     """
     values = _gram_values(gram)
     n = len(values)
     total = float(values.sum()) / n**2
     if eig is None:
         eig = sym_eig(gram)
-    projections = eig.eigenvectors.T @ np.ones(n)
-    contributions = eig.eigenvalues * projections**2 / n**2
-    return total, contributions
+    return total, _contributions(eig, n)
 
 
 def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
     """Entropy-ranked spectral embedding with unit-row normalization.
 
-    Selects the ``n_axes`` axes of largest entropy contribution (ties
-    broken by larger eigenvalue, then lower index), scales each by
-    sqrt(max(lambda, 0)), and normalizes rows to unit length; rows with
-    norm below 1e-12 are left as zero vectors.
+    Selects, among the eigenpairs of ``eig``, the ``n_axes`` axes of
+    largest entropy contribution (ties broken by larger eigenvalue, then
+    lower index), scales each by sqrt(max(lambda, 0)), and normalizes
+    rows to unit length; rows with norm below 1e-12 are left as zero
+    vectors.
     """
     values = _gram_values(gram)
     n = len(values)
@@ -158,7 +228,8 @@ def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
     if not np.any(contributions > 0.0):
         raise DegenerateEmbeddingError("all entropy contributions vanish")
     order = sorted(
-        range(n), key=lambda i: (-contributions[i], -eig.eigenvalues[i], i)
+        range(len(contributions)),
+        key=lambda i: (-contributions[i], -eig.eigenvalues[i], i),
     )
     axes = list(order[:n_axes])
     columns = [
@@ -256,10 +327,15 @@ def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0,
 
 
 def cluster_gram(gram, k: int, seed: int = 0, n_axes: int | None = None) -> ClusteringResult:
-    """Run the spectral pipeline on a prebuilt Gram matrix."""
-    eig = sym_eig(gram)
+    """Run the spectral pipeline on a prebuilt Gram matrix.
+
+    From ``LANCZOS_MIN_N`` points on, ``entropy_contributions`` holds one
+    value per computed eigenpair (see :func:`truncated_eig`), not N.
+    """
+    n_axes = n_axes or k
+    eig = sym_eig(gram, n_axes)
     total, contributions = renyi_entropy(gram, eig)
-    embedding, axes = keca_embed(gram, n_axes or k, eig)
+    embedding, axes = keca_embed(gram, n_axes, eig)
     labels, inertia = kmeans(embedding, k, metric="angular", seed=seed)
     degenerate = len(np.unique(labels)) < k
     return ClusteringResult(

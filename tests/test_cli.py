@@ -57,6 +57,16 @@ class TestEval:
         assert code == 2
         assert "column 2" in err
 
+    def test_base_kernel_overflow_exits_3(self, capsys):
+        # (<x,y> + 1)^400 = 201^400 overflows although the triple is finite
+        code, out, err = run(
+            capsys, "eval", "--kernel", "poly", "--degree", "400",
+            "--x", "10,10", "--y", "10,10",
+        )
+        assert code == 3
+        assert out == ""
+        assert "pair (0, 1)" in err
+
     def test_non_finite_vector_exits_2(self, capsys):
         code, out, err = run(
             capsys, "eval", "--sigma", "1", "--x", "1,nan", "--y", "3,4",
@@ -148,6 +158,19 @@ class TestGram:
         assert "pair (0, 0)" in err
         assert not (out_dir / "psd.json").exists()
 
+    def test_base_kernel_overflow_exits_3(self, capsys, tmp_path):
+        # only pair (1, 1) overflows: (200 + 1)^400; the others stay below 3^400
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("0.1,0.1\n10,10\n")
+        out_dir = tmp_path / "o"
+        code, _, err = run(
+            capsys, "gram", "--input", str(csv_path), "--kernel", "poly",
+            "--degree", "400", "--out", str(out_dir),
+        )
+        assert code == 3
+        assert "pair (1, 1)" in err
+        assert not (out_dir / "gram.csv").exists()
+
     def test_single_point_exits_2(self, capsys, tmp_path):
         csv_path = tmp_path / "one.csv"
         csv_path.write_text("1,2\n")
@@ -179,6 +202,9 @@ class TestCluster:
         assert code == 0
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert "accuracy" in metrics
+        # below LANCZOS_MIN_N the decomposition is dense and conserves entropy
+        assert metrics["eigenpairs"] == 40
+        assert abs(metrics["entropy_residual"]) <= 1e-12
         labels = (out_dir / "labels.csv").read_text().strip().split("\n")
         assert labels[0] == "index,label"
         assert len(labels) == 41
@@ -218,7 +244,7 @@ class TestCluster:
             "--kernel", "gaussian", "--sigma", "1", "--out", str(tmp_path / "o"),
         )
         assert code == 2
-        assert "n_axes must be in [1, 3]" in err
+        assert "--k 5 exceeds the point count 3" in err
 
 
 class TestExperiment:

@@ -1,10 +1,15 @@
 """Gram construction, eigenanalysis, entropy, and clustering tests."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invkern
 from invkern import (
     PHASE,
     PROJ,
@@ -19,6 +24,7 @@ from invkern import (
     clustering_accuracy,
     eval_kernel,
     gaussian,
+    gen_directions,
     keca_embed,
     kmeans,
     laplace,
@@ -30,9 +36,11 @@ from invkern import (
     rotation,
     spectral_cluster,
     sym_eig,
+    truncated_eig,
 )
-from invkern.errors import DegenerateEmbeddingError, ZeroVectorError
+from invkern.errors import DegenerateEmbeddingError, ValidationError, ZeroVectorError
 from invkern.invariance import TILE_ROWS
+from invkern.spectral import LANCZOS_MIN_N
 
 
 def complex_points(rng, n_points, dim, scale=1.0):
@@ -267,6 +275,85 @@ class TestSymEig:
         e1, e2 = sym_eig(gram), sym_eig(gram)
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+
+
+def _dense_pipeline(gram, k, seed=0):
+    eig = sym_eig(gram)
+    embedding, axes = keca_embed(gram, k, eig)
+    labels, _ = kmeans(embedding, k, metric="angular", seed=seed)
+    return embedding, axes, labels
+
+
+def _psd_grams():
+    rng = np.random.default_rng(46)
+    # rank 5 with nonnegative factors: eigenvalues from the 6th on are 0
+    factors = rng.random((300, 5))
+    yield factors @ factors.T
+    # Gaussian Gram of four blobs
+    centers = rng.standard_normal((4, 3)) * 3.0
+    pts = np.repeat(centers, 60, axis=0) + rng.standard_normal((240, 3))
+    sq = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    yield np.exp(-sq / 2.0)
+    # The second eigenvector alternates in sign, orthogonal to the ones
+    # vector: a Lanczos run started from ones never finds it and would
+    # misnumber every later axis.
+    factors = np.repeat(rng.random((100, 3)), 2, axis=0)
+    alternating = np.tile([1.0, -1.0], 100) / np.sqrt(200)
+    yield factors @ factors.T + 100.0 * np.outer(alternating, alternating)
+
+
+class TestTruncatedEig:
+    def test_matches_dense_above_threshold(self):
+        n = LANCZOS_MIN_N + 100
+        data, _ = gen_directions(6, n, seed=3)
+        gram = build_gram(data, KernelSpec(gaussian(0.1), PROJ))
+        eig = truncated_eig(gram, 6)
+        assert len(eig.eigenvalues) < n
+        dense = sym_eig(gram)
+        m = len(eig.eigenvalues)
+        np.testing.assert_allclose(eig.eigenvalues, dense.eigenvalues[:m], atol=1e-9)
+        embedding, axes = keca_embed(gram, 6, eig)
+        dense_embedding, dense_axes, dense_labels = _dense_pipeline(gram, 6)
+        assert axes == dense_axes
+        np.testing.assert_allclose(embedding, dense_embedding, atol=1e-8)
+        result = cluster_gram(gram, 6, seed=0)
+        assert len(result.entropy_contributions) == m
+        assert result.selected_axes == dense_axes
+        assert np.array_equal(result.labels, dense_labels)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_matches_dense_on_psd_grams(self, index):
+        gram = list(_psd_grams())[index]
+        k = 3
+        eig = truncated_eig(gram, k)
+        assert len(eig.eigenvalues) < len(gram)
+        embedding, axes = keca_embed(gram, k, eig)
+        dense_embedding, dense_axes, dense_labels = _dense_pipeline(gram, k)
+        assert axes == dense_axes
+        np.testing.assert_allclose(embedding, dense_embedding, atol=1e-8)
+        labels, _ = kmeans(embedding, k, metric="angular", seed=0)
+        assert np.array_equal(labels, dense_labels)
+
+    def test_identity_never_certifies(self):
+        # (v'1)^2 <= N caps every contribution at 1/N = lambda_M / N, so the
+        # strict certificate never holds
+        dense = sym_eig(np.eye(40))
+        eig = truncated_eig(np.eye(40), 2)
+        assert np.array_equal(eig.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(eig.eigenvectors, dense.eigenvectors)
+
+    def test_axis_count_validated(self):
+        with pytest.raises(ValidationError):
+            truncated_eig(np.eye(4), 0)
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(invkern.__file__).parents[1])
+        code = "import sys; sys.path.insert(0, sys.argv[1]); import invkern.cli; " \
+               "print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestRenyiEntropy:
