@@ -43,6 +43,7 @@ from .invariance import (
     identity_element,
     invariant_inner,
     kernel_label,
+    kernel_matrix,
     kernel_triple,
     median_heuristic_sigma,
     parse_invariance,

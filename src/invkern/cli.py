@@ -26,19 +26,20 @@ from .data import (
     save_dataset,
     top_norm_select,
 )
-from .errors import FormatError, InvkernError, NumericalError, ParseError
+from .errors import FormatError, InvkernError, ParseError
 from .figures import heatmap_svg, scatter_svg
 from .invariance import (
     PROJ,
     SIGN,
     KernelSpec,
+    eval_kernel,
     format_invariance,
     kernel_label,
     kernel_triple,
     median_heuristic_sigma,
     parse_invariance,
 )
-from .kernels import BaseKernel, eval_base
+from .kernels import BaseKernel
 from .spectral import build_gram, check_psd, cluster_gram, clustering_accuracy
 
 EXIT_OK = 0
@@ -74,27 +75,10 @@ def _build_spec(args, points=None) -> KernelSpec:
     return KernelSpec(base, invariance)
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return _json_ready(value.tolist())
-    return value
-
-
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(
-        json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    # np.float64 is a float; numpy booleans, integers and arrays are not.
+    text = json.dumps(payload, sort_keys=True, indent=2, default=lambda v: v.tolist())
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_labels(labels, path: Path) -> None:
@@ -134,24 +118,18 @@ def cmd_eval(args) -> int:
         x = _parse_vector(args.x)
         y = _parse_vector(args.y)
     spec = _build_spec(args)
-    triple = kernel_triple(spec, x, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = eval_base(spec.base, triple)
-    if not np.isfinite(value):
-        raise NumericalError(
-            "non-finite kernel value at pair (0, 1); the base kernel overflows on these points"
-        )
+    value = eval_kernel(spec, x, y)
     record = {
         "command": "eval",
         "kernel": kernel_label(spec),
         "invariance": format_invariance(spec.invariance) if spec.invariance else None,
         "x": [float(v) for v in x],
         "y": [float(v) for v in y],
-        "triple": _triple_record(triple),
+        "triple": _triple_record(kernel_triple(spec, x, y)),
         "value": value,
     }
     print(f"{value:.17g}")
-    print(json.dumps(_json_ready(record), sort_keys=True))
+    print(json.dumps(record, sort_keys=True))
     if args.out:
         _write_json(record, _outdir(args) / "eval.json")
     return EXIT_OK
@@ -247,6 +225,9 @@ def preset_bandwidth(points, invariance) -> float:
 
 def _experiment_setup(args):
     """Dataset plus matched invariant/baseline kernel specs for a preset."""
+    if args.name != "digits" and (args.input or args.labeled):
+        flag = "--input" if args.input else "--labeled"
+        raise ParseError(f"{flag} applies to the digits preset only, not {args.name}")
     seed = args.seed
     if args.name == "xor":
         data = gen_xor(50, 0.15, seed=seed)
@@ -298,10 +279,10 @@ def cmd_experiment(args) -> int:
     if directions is not None:
         estimate = estimate_mixing(data, result_inv.labels, true_directions=directions)
         metrics["mixing"] = {
-            "directions": estimate.directions.tolist(),
-            "per_cluster_counts": estimate.per_cluster_counts.tolist(),
-            "angle_errors_deg": estimate.angle_errors_deg.tolist(),
-            "max_angle_error_deg": float(estimate.angle_errors_deg.max()),
+            "directions": estimate.directions,
+            "per_cluster_counts": estimate.per_cluster_counts,
+            "angle_errors_deg": estimate.angle_errors_deg,
+            "max_angle_error_deg": estimate.angle_errors_deg.max(),
         }
     _write_json(metrics, out / "metrics.json")
     _write_labels(result_inv.labels, out / "labels_invariant.csv")

@@ -20,13 +20,14 @@ import numpy as np
 from .errors import (
     DimensionError,
     FieldError,
+    NegativeDistanceError,
     NumericalError,
     OracleSizeError,
     ParseError,
     ValidationError,
     ZeroVectorError,
 )
-from .kernels import BaseKernel, ScalarTriple, eval_base, squared_distance
+from .kernels import BaseKernel, ScalarTriple, base_values, squared_distance
 
 KINDS = ("rotation", "phase", "scale", "proj", "chain")
 
@@ -363,9 +364,58 @@ def invariant_inner(spec: Invariance, x, y):
     return kernel_triple(KernelSpec(BaseKernel("linear"), spec), x, y).sxy
 
 
+def _checked_values(base: BaseKernel, triple, row: int, col: int) -> np.ndarray:
+    # Base-kernel values of a 2-D triple tile whose entry (0, 0) is pair
+    # (row, col).  Errors name the pair they occur at.
+    try:
+        # Overflow is reported as a NumericalError below, not warned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = base_values(base, *triple)
+    except NegativeDistanceError as err:
+        i, j = np.unravel_index(err.index, np.broadcast(*triple).shape)
+        raise NegativeDistanceError(
+            f"kernel evaluation failed for pair ({row + i}, {col + j}): {err}",
+            index=err.index,
+        ) from err
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        raise NumericalError(
+            f"non-finite kernel value at pair ({row + i}, {col + j}); "
+            "the base kernel overflows on these points"
+        )
+    return values
+
+
+def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
+    """Kernel values of every pair of rows of a 2-D point array.
+
+    Entry (i, j) equals eval_kernel(spec, x_i, x_j).  The base kernel
+    runs on the row tiles of :func:`triple_tiles`, and the upper triangle
+    is mirrored, so the result is exactly symmetric.  A non-finite value
+    raises NumericalError naming the pair.
+    """
+    n = len(points)
+    gram = np.zeros((n, n))
+    for start, triple in triple_tiles(points, spec.invariance):
+        values = _checked_values(spec.base, triple, start, start)
+        stop = start + len(values)
+        gram[start:stop, start:] = np.triu(values)
+        # Rows below this tile are still zero in these columns, so adding
+        # the transposed strict upper triangle mirrors it exactly.
+        gram[start:, start:stop] += np.triu(values, 1).T
+    return gram
+
+
 def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate the (optionally invariant) kernel on a pair of points."""
-    return eval_base(spec.base, kernel_triple(spec, x, y))
+    """Evaluate the (optionally invariant) kernel on a pair of points.
+
+    Raises NumericalError naming pair (0, 1) when k(x, y) is not finite;
+    k(x, x) and k(y, y) are not evaluated.
+    """
+    triple = kernel_triple(spec, x, y)
+    entry = [np.full((1, 1), t) for t in (triple.sxx, triple.sxy, triple.syy)]
+    return float(_checked_values(spec.base, entry, 0, 1)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +487,14 @@ def check_invariance(
     ``group`` defaults to the spec's own invariance; passing a different
     group turns this into a falsifier for kernels that should *not* be
     invariant.  The pass threshold is ``tolerance`` relative to the
-    largest kernel magnitude seen, floored at 1.
+    largest kernel magnitude seen, floored at 1.  A kernel value that
+    overflows raises NumericalError (see :func:`eval_kernel`).
     """
     points = np.asarray(getattr(samples, "points", samples))
     if len(points) == 0:
-        raise ValueError("samples must be non-empty")
+        raise ValidationError("samples must be non-empty")
     if n_group_samples < 1:
-        raise ValueError("n_group_samples must be at least 1")
+        raise ValidationError("n_group_samples must be at least 1")
     if group is None:
         group = spec.invariance
     if group is None:

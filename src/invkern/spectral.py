@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import best_matching
-from .errors import (
-    DegenerateEmbeddingError,
-    NegativeDistanceError,
-    NumericalError,
-    ValidationError,
-)
-from .invariance import KernelSpec, triple_tiles
-from .kernels import base_values
+from .errors import DegenerateEmbeddingError, NumericalError, ValidationError
+from .invariance import KernelSpec, kernel_matrix
 
 # Point count from which clustering computes only the certified top
 # eigenpairs.  Measured crossover in a fresh process, where the truncated
@@ -68,43 +62,14 @@ def _gram_values(gram) -> np.ndarray:
 
 
 def build_gram(data, spec: KernelSpec) -> GramMatrix:
-    """Pairwise kernel matrix; only the upper triangle is evaluated.
-
-    Entry (i, j) equals eval_kernel(spec, x_i, x_j).  The base kernel
-    runs on the row tiles of :func:`invkern.invariance.triple_tiles`, and
-    the upper triangle is mirrored, so the result is exactly symmetric.
-    """
+    """:func:`invkern.invariance.kernel_matrix` of a dataset, with provenance."""
     points = np.asarray(getattr(data, "points", data))
     n = len(points)
     if n < 2:
         raise ValidationError("need at least two points to build a Gram matrix")
-    gram = np.zeros((n, n))
-    for start, triple in triple_tiles(points, spec.invariance):
-        try:
-            # Overflow is reported as a NumericalError below, not warned.
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = base_values(spec.base, *triple)
-        except NegativeDistanceError as err:
-            i, j = np.unravel_index(err.index, np.broadcast(*triple).shape)
-            raise NegativeDistanceError(
-                f"kernel evaluation failed for pair ({start + i}, {start + j}): {err}",
-                index=err.index,
-            ) from err
-        finite = np.isfinite(values)
-        if not np.all(finite):
-            i, j = np.unravel_index(np.argmin(finite), finite.shape)
-            raise NumericalError(
-                f"non-finite kernel value at pair ({start + i}, {start + j}); "
-                "the base kernel overflows on these points"
-            )
-        stop = start + len(values)
-        gram[start:stop, start:] = np.triu(values)
-        # Rows below this tile are still zero in these columns, so adding
-        # the transposed strict upper triangle mirrors it exactly.
-        gram[start:, start:stop] += np.triu(values, 1).T
     meta = getattr(data, "meta", None)
     source = meta.get("name") if isinstance(meta, dict) else None
-    return GramMatrix(gram, spec, n, source)
+    return GramMatrix(kernel_matrix(points, spec), spec, n, source)
 
 
 def check_psd(gram):
@@ -120,8 +85,7 @@ def check_psd(gram):
 
 
 def _descending(eigenvalues, vectors) -> EigenDecomposition:
-    # Largest-magnitude component of each eigenvector made positive, so
-    # outputs are reproducible across runs and across solvers.
+    # The order and sign convention of sym_eig, shared by both solvers.
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
@@ -129,6 +93,16 @@ def _descending(eigenvalues, vectors) -> EigenDecomposition:
     flip = vectors[anchor, np.arange(vectors.shape[1])] < 0
     vectors[:, flip] *= -1.0
     return EigenDecomposition(eigenvalues, vectors)
+
+
+def _dense_eig(values: np.ndarray) -> EigenDecomposition:
+    if len(values) > 5000:
+        raise ValidationError("dense eigendecomposition limited to N <= 5000")
+    try:
+        eigenvalues, vectors = np.linalg.eigh(values)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"eigendecomposition did not converge: {err}") from err
+    return _descending(eigenvalues, vectors)
 
 
 def sym_eig(gram, n_axes: int | None = None) -> EigenDecomposition:
@@ -144,18 +118,15 @@ def sym_eig(gram, n_axes: int | None = None) -> EigenDecomposition:
     values = _gram_values(gram)
     if n_axes is not None and len(values) >= LANCZOS_MIN_N:
         return truncated_eig(values, n_axes)
-    if len(values) > 5000:
-        raise ValidationError("dense eigendecomposition limited to N <= 5000")
-    try:
-        eigenvalues, vectors = np.linalg.eigh(values)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"eigendecomposition did not converge: {err}") from err
-    return _descending(eigenvalues, vectors)
+    return _dense_eig(values)
 
 
-def _contributions(eig: EigenDecomposition, n: int) -> np.ndarray:
+def _entropy_ranking(eig: EigenDecomposition, n: int):
+    # Contributions lambda_i (v_i'1)^2 / N^2, and the axes ranked by
+    # contribution, then eigenvalue, then index (lexsort is stable).
     projections = eig.eigenvectors.T @ np.ones(n)
-    return eig.eigenvalues * projections**2 / n**2
+    contributions = eig.eigenvalues * projections**2 / n**2
+    return contributions, np.lexsort((-eig.eigenvalues, -contributions))
 
 
 def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
@@ -167,7 +138,7 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     the n_axes-th largest computed contribution exceeds that bound (by a
     relative 1e-9 for solver tolerance) the selection equals the dense
     one.  When M would pass N/2 uncertified, or Lanczos fails, the result
-    is the dense :func:`sym_eig`.  Order and signs follow :func:`sym_eig`.
+    is the dense decomposition.  Order and signs follow :func:`sym_eig`.
     """
     # Imported here: scipy adds about 0.25 s to every fresh process, and
     # only clustering at N >= LANCZOS_MIN_N needs it.
@@ -187,10 +158,11 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
         except ArpackError:
             break
         bound = max(eig.eigenvalues[-1], 0.0) / n
-        if np.sort(_contributions(eig, n))[-n_axes] > bound * (1.0 + 1e-9):
+        contributions, order = _entropy_ranking(eig, n)
+        if contributions[order[n_axes - 1]] > bound * (1.0 + 1e-9):
             return eig
         m *= 2
-    return sym_eig(values)
+    return _dense_eig(values)
 
 
 def renyi_entropy(gram, eig: EigenDecomposition | None = None):
@@ -206,7 +178,7 @@ def renyi_entropy(gram, eig: EigenDecomposition | None = None):
     total = float(values.sum()) / n**2
     if eig is None:
         eig = sym_eig(gram)
-    return total, _contributions(eig, n)
+    return total, _entropy_ranking(eig, n)[0]
 
 
 def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
@@ -218,29 +190,21 @@ def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
     rows to unit length; rows with norm below 1e-12 are left as zero
     vectors.
     """
-    values = _gram_values(gram)
-    n = len(values)
+    n = len(_gram_values(gram))
     if not 1 <= n_axes <= n:
         raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
     if eig is None:
         eig = sym_eig(gram)
-    _, contributions = renyi_entropy(gram, eig)
+    contributions, order = _entropy_ranking(eig, n)
     if not np.any(contributions > 0.0):
         raise DegenerateEmbeddingError("all entropy contributions vanish")
-    order = sorted(
-        range(len(contributions)),
-        key=lambda i: (-contributions[i], -eig.eigenvalues[i], i),
-    )
-    axes = list(order[:n_axes])
-    columns = [
-        np.sqrt(max(eig.eigenvalues[a], 0.0)) * eig.eigenvectors[:, a] for a in axes
-    ]
-    embedding = np.column_stack(columns)
+    axes = order[:n_axes]
+    embedding = np.sqrt(np.maximum(eig.eigenvalues[axes], 0.0)) * eig.eigenvectors[:, axes]
     norms = np.linalg.norm(embedding, axis=1)
     keep = norms >= 1e-12
     embedding[keep] /= norms[keep, None]
     embedding[~keep] = 0.0
-    return embedding, axes
+    return embedding, axes.tolist()
 
 
 def _pairwise_distance(points, centers, metric):

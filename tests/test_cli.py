@@ -307,3 +307,16 @@ class TestExperiment:
                 assert code == 0
             for name in sorted(p.name for p in dirs[0].iterdir()):
                 assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+class TestExperimentFlags:
+    @pytest.mark.parametrize("name,flags", [
+        ("xor", ["--input", "/nonexistent.csv"]),
+        ("flutes", ["--labeled"]),
+        ("flutes", ["--input", "data.csv", "--labeled"]),
+    ])
+    def test_digits_only_flags_rejected(self, capsys, tmp_path, name, flags):
+        code, out, err = run(capsys, "exp", name, *flags, "--out", str(tmp_path))
+        assert code == 2
+        assert flags[0] in err and "digits preset only" in err
+        assert not any(tmp_path.iterdir())

@@ -456,3 +456,40 @@ class TestKernelTriple:
             Invariance("rotation", m=1)
         with pytest.raises(ValueError):
             Invariance("mystery")
+
+
+class TestKernelValueChecks:
+    def test_kernel_matrix_is_the_gram(self):
+        from invkern import build_gram, kernel_matrix
+
+        pts = np.random.default_rng(23).standard_normal((7, 3))
+        spec = KernelSpec(gaussian(1.3), SIGN)
+        values = kernel_matrix(pts, spec)
+        assert np.array_equal(values, build_gram(pts, spec).values)
+        assert values[2, 5] == pytest.approx(eval_kernel(spec, pts[2], pts[5]), abs=1e-12)
+
+    def test_eval_kernel_overflow_names_pair(self):
+        from invkern.errors import NumericalError
+
+        for inv in (None, SIGN):
+            with pytest.raises(NumericalError, match=r"pair \(0, 1\)"):
+                eval_kernel(KernelSpec(poly(400), inv), [10.0, 10.0], [10.0, 10.0])
+
+    def test_diagonal_overflow_alone_stays_finite(self):
+        # (201)^400 overflows for k(x, x), but k(x, y) = 1.02^400 does not
+        value = eval_kernel(KernelSpec(poly(400)), [10.0, 10.0], [1e-3, 1e-3])
+        assert value == pytest.approx(1.02**400, rel=1e-12)
+
+    def test_check_invariance_overflow_raises(self):
+        from invkern.errors import NumericalError
+
+        with pytest.raises(NumericalError):
+            check_invariance(KernelSpec(poly(400)), np.full((4, 2), 10.0), group=SIGN)
+
+    def test_check_invariance_argument_errors_are_typed(self):
+        from invkern.errors import ValidationError
+
+        with pytest.raises(ValidationError, match="non-empty"):
+            check_invariance(KernelSpec(gaussian(1.0), SIGN), np.zeros((0, 2)))
+        with pytest.raises(ValidationError, match="at least 1"):
+            check_invariance(KernelSpec(gaussian(1.0), SIGN), np.ones((3, 2)), 0)

@@ -520,3 +520,56 @@ class TestClusteringAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             clustering_accuracy([0, 1], [0, 1, 1])
+
+
+class TestOneOwnerPerQuantity:
+    def test_cluster_gram_sums_the_gram_once(self, monkeypatch):
+        import invkern.spectral as spectral
+
+        calls = []
+        original = spectral.renyi_entropy
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "renyi_entropy", counted)
+        pts = np.random.default_rng(47).standard_normal((30, 2))
+        cluster_gram(build_gram(pts, KernelSpec(gaussian(1.0), SIGN)), 2)
+        assert len(calls) == 1
+
+    def test_truncated_fallback_does_not_enter_sym_eig(self, monkeypatch):
+        import invkern.spectral as spectral
+
+        dense = sym_eig(np.eye(40))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sym_eig entered")
+
+        monkeypatch.setattr(spectral, "sym_eig", refuse)
+        eig = truncated_eig(np.eye(40), 2)
+        assert np.array_equal(eig.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(eig.eigenvectors, dense.eigenvectors)
+
+    def test_keca_tie_break_eigenvalue_then_index(self):
+        from invkern.spectral import EigenDecomposition
+
+        # Exact eigenvectors: h1 = ones/2 has (v'1)^2 = 4, e5 has 1, and
+        # h2..h4 are orthogonal to ones.  Contributions: 1*4/25 = 4*1/25
+        # for h1 and e5, zero for h2..h4.
+        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+        vectors = np.zeros((5, 5))
+        vectors[:4, :4] = hadamard.T
+        vectors[4, 4] = 1.0
+        eigenvalues = np.array([1.0, 3.0, 3.0, 2.0, 4.0])
+        gram = vectors @ np.diag(eigenvalues) @ vectors.T
+        eig = EigenDecomposition(eigenvalues, vectors)
+        embedding, axes = keca_embed(gram, 4, eig)
+        # e5 (eigenvalue 4) before h1 (eigenvalue 1) although its index is
+        # higher; among the zero contributions, eigenvalue 3 before 2, and
+        # of the two with eigenvalue 3 the lower index first
+        assert axes == [4, 0, 1, 2]
+        assert all(isinstance(a, int) for a in axes)
+        expected = vectors[:, axes] * np.sqrt(eigenvalues[axes])
+        expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+        np.testing.assert_allclose(embedding, expected, atol=1e-15)
