@@ -51,6 +51,7 @@ from .invariance import (
     rotation,
     sample_group_element,
     transform_triples,
+    triple_value,
 )
 from .kernels import (
     BaseKernel,

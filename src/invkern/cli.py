@@ -32,12 +32,12 @@ from .invariance import (
     PROJ,
     SIGN,
     KernelSpec,
-    eval_kernel,
     format_invariance,
     kernel_label,
     kernel_triple,
     median_heuristic_sigma,
     parse_invariance,
+    triple_value,
 )
 from .kernels import BaseKernel
 from .spectral import build_gram, check_psd, cluster_gram, clustering_accuracy
@@ -88,8 +88,9 @@ def _write_labels(labels, path: Path) -> None:
 
 
 def _write_gram_csv(values: np.ndarray, path: Path) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in values]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # repr round-trips each float; rows stream out, one string per row.
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(",".join(map(repr, row.tolist())) + "\n" for row in values)
 
 
 def _outdir(args) -> Path:
@@ -118,14 +119,15 @@ def cmd_eval(args) -> int:
         x = _parse_vector(args.x)
         y = _parse_vector(args.y)
     spec = _build_spec(args)
-    value = eval_kernel(spec, x, y)
+    triple = kernel_triple(spec, x, y)
+    value = triple_value(spec.base, triple)
     record = {
         "command": "eval",
         "kernel": kernel_label(spec),
         "invariance": format_invariance(spec.invariance) if spec.invariance else None,
         "x": [float(v) for v in x],
         "y": [float(v) for v in y],
-        "triple": _triple_record(kernel_triple(spec, x, y)),
+        "triple": _triple_record(triple),
         "value": value,
     }
     print(f"{value:.17g}")
@@ -167,6 +169,8 @@ def cmd_gram(args) -> int:
 
 
 def _cluster_metrics(result, spec, data) -> dict:
+    selected = [float(result.entropy_contributions[a]) for a in result.selected_axes]
+    total = result.entropy_total
     metrics = {
         "kernel": kernel_label(spec),
         "n_points": len(result.labels),
@@ -176,7 +180,10 @@ def _cluster_metrics(result, spec, data) -> dict:
         "eigenpairs": len(result.entropy_contributions),
         "entropy_residual": result.entropy_total - float(np.sum(result.entropy_contributions)),
         "selected_axes": list(result.selected_axes),
-        "entropy_selected": [float(result.entropy_contributions[a]) for a in result.selected_axes],
+        "entropy_selected": selected,
+        # Undefined (null) when the Gram sums to exactly zero, as a linear
+        # kernel does on points whose sum is the zero vector.
+        "entropy_captured": sum(selected) / total if total != 0.0 else None,
         "degenerate": result.degenerate,
     }
     if spec.base.family in ("gaussian", "laplace"):
@@ -228,6 +235,8 @@ def _experiment_setup(args):
     if args.name != "digits" and (args.input or args.labeled):
         flag = "--input" if args.input else "--labeled"
         raise ParseError(f"{flag} applies to the digits preset only, not {args.name}")
+    if args.labeled and not args.input:
+        raise ParseError("--labeled needs --input: the generated digits data has its own labels")
     seed = args.seed
     if args.name == "xor":
         data = gen_xor(50, 0.15, seed=seed)

@@ -215,7 +215,15 @@ def load_csv(path, has_labels: bool = False) -> Dataset:
                 f"{path}: row at line {line} has {len(row)} cells, expected {width}",
                 line=line,
             )
-        values = [parse_cell(cell, path, line, col + 1) for col, cell in enumerate(row)]
+        try:
+            values = list(map(float, row))
+        except ValueError:
+            values = None
+        # The sum of a row is finite unless a cell is not finite or the sum
+        # overflows; only then does parse_cell go through it cell by cell,
+        # raising at the first bad cell.
+        if values is None or not math.isfinite(sum(values)):
+            values = [parse_cell(cell, path, line, col + 1) for col, cell in enumerate(row)]
         if has_labels:
             label = values[-1]
             if label != int(label) or label < 0:
@@ -248,13 +256,11 @@ def save_dataset(data: Dataset, path) -> None:
     """
     if np.iscomplexobj(data.points):
         raise ValueError("CSV export supports real-valued datasets only")
+    rows = (map(repr, row.tolist()) for row in data.points.astype(float, copy=False))
+    if data.labels is not None:
+        rows = ([*cells, str(label)] for cells, label in zip(rows, data.labels.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        for i, row in enumerate(data.points):
-            cells = [repr(float(v)) for v in row]
-            if data.labels is not None:
-                cells.append(str(int(data.labels[i])))
-            writer.writerow(cells)
+        csv.writer(handle).writerows(rows)
     sidecar = os.path.splitext(str(path))[0] + ".meta.json"
     with open(sidecar, "w", encoding="utf-8") as handle:
         json.dump(data.meta, handle, sort_keys=True, indent=2)

@@ -1,8 +1,10 @@
 """Dependency-free SVG emitters for scatter plots and Gram heatmaps.
 
 Text output only: every point is one <circle class="pt"> and every
-matrix cell one <rect class="cell">, so tests can count nodes, and
-identical inputs produce byte-identical files.
+matrix cell one <rect class="cell">, at any matrix size (no pooling), so
+tests can count nodes, and identical inputs produce byte-identical files.
+The heatmap computes a row's colours in numpy and emits the row with one
+comprehension, so its Python work is per row, not per cell.
 """
 
 from __future__ import annotations
@@ -55,10 +57,17 @@ def scatter_svg(points, labels=None, size: int = 480, margin: float = 30.0,
 
 
 def heatmap_svg(matrix, size: int = 480) -> str:
-    """SVG heatmap, one rect per matrix cell, dark cells for large values."""
+    """SVG heatmap, one rect per matrix cell, dark cells for large values.
+
+    Raises ValueError for an empty matrix or a non-finite entry.
+    """
     values = np.asarray(matrix, dtype=float)
     if values.ndim != 2:
         raise ValueError("heatmap_svg expects a 2-D matrix")
+    if values.size == 0:
+        raise ValueError(f"heatmap_svg expects a non-empty matrix, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("heatmap_svg expects finite values")
     n_rows, n_cols = values.shape
     vmin = float(values.min())
     vmax = float(values.max())
@@ -70,16 +79,15 @@ def heatmap_svg(matrix, size: int = 480) -> str:
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    for i in range(n_rows):
-        for j in range(n_cols):
-            t = (values[i, j] - vmin) / span
-            channels = tuple(
-                int(round(lo + t * (hi - lo))) for lo, hi in zip(_HEAT_LOW, _HEAT_HIGH)
-            )
-            fill = "#{:02x}{:02x}{:02x}".format(*channels)
-            parts.append(
-                f'<rect class="cell" x="{_fmt(j * cell_w)}" y="{_fmt(i * cell_h)}" '
-                f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="{fill}"/>'
-            )
+    heads = [f'<rect class="cell" x="{_fmt(j * cell_w)}" y="' for j in range(n_cols)]
+    tail = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="#'
+    for i, row in enumerate(values):
+        t = (row - vmin) / span
+        # np.rint rounds half to even, as Python's round does.
+        rgb = np.zeros(n_cols, dtype=np.int64)
+        for lo, hi in zip(_HEAT_LOW, _HEAT_HIGH):
+            rgb = (rgb << 8) | np.rint(lo + t * (hi - lo)).astype(np.int64)
+        middle = _fmt(i * cell_h) + tail
+        parts.extend([f'{head}{middle}{c:06x}"/>' for head, c in zip(heads, rgb.tolist())])
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -407,15 +407,22 @@ def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
     return gram
 
 
+def triple_value(base: BaseKernel, triple: ScalarTriple) -> float:
+    """Base-kernel value of one triple, such as :func:`kernel_triple` returns.
+
+    Raises NumericalError naming pair (0, 1) when the value is not finite.
+    """
+    entry = [np.full((1, 1), t) for t in (triple.sxx, triple.sxy, triple.syy)]
+    return float(_checked_values(base, entry, 0, 1)[0, 0])
+
+
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """Evaluate the (optionally invariant) kernel on a pair of points.
 
     Raises NumericalError naming pair (0, 1) when k(x, y) is not finite;
     k(x, x) and k(y, y) are not evaluated.
     """
-    triple = kernel_triple(spec, x, y)
-    entry = [np.full((1, 1), t) for t in (triple.sxx, triple.sxy, triple.syy)]
-    return float(_checked_values(spec.base, entry, 0, 1)[0, 0])
+    return triple_value(spec.base, kernel_triple(spec, x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,25 @@ class TestEval:
         payload = json.loads((out_dir / "eval.json").read_text())
         assert payload["value"] == 11.0
 
+    def test_builds_the_triple_field_once(self, capsys, monkeypatch):
+        import invkern.invariance as invariance
+
+        calls = []
+        original = invariance.triple_tiles
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(invariance, "triple_tiles", counting)
+        code, out, _ = run(
+            capsys, "eval", "--kernel", "gaussian", "--sigma", "1",
+            "--inv", "sign", "--x", "1,0", "--y", "0,1",
+        )
+        assert code == 0
+        assert out.startswith("0.3678794411714423")
+        assert len(calls) == 1
+
 
 class TestGram:
     def test_artifacts_and_roundtrip(self, capsys, tmp_path):
@@ -144,6 +163,9 @@ class TestGram:
         )
         expected = build_gram(data, KernelSpec(gaussian(1.5), SIGN)).values
         assert np.array_equal(reread, expected)
+        # the per-cell writer the streamed one replaces, as a byte reference
+        lines = [",".join(repr(float(v)) for v in row) for row in expected]
+        assert (out_dir / "gram.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_overflowing_triple_exits_3(self, capsys, tmp_path):
         # sign invariance squares the triple; 1e200 already overflows <x,x>
@@ -205,6 +227,10 @@ class TestCluster:
         # below LANCZOS_MIN_N the decomposition is dense and conserves entropy
         assert metrics["eigenpairs"] == 40
         assert abs(metrics["entropy_residual"]) <= 1e-12
+        assert metrics["entropy_captured"] == (
+            sum(metrics["entropy_selected"]) / metrics["entropy_total"]
+        )
+        assert 0.0 < metrics["entropy_captured"] <= 1.0 + 1e-12
         labels = (out_dir / "labels.csv").read_text().strip().split("\n")
         assert labels[0] == "index,label"
         assert len(labels) == 41
@@ -225,6 +251,20 @@ class TestCluster:
         assert code == 0
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert "accuracy" not in metrics
+
+    def test_zero_entropy_total_gives_null_captured(self, capsys, tmp_path):
+        # A linear Gram of points summing to the zero vector sums to zero.
+        csv_path = tmp_path / "centered.csv"
+        csv_path.write_text("1,0\n-1,0\n0,1\n0,-1\n2,0\n-2,0\n")
+        out_dir = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "cluster", "--input", str(csv_path), "--k", "2",
+            "--kernel", "linear", "--out", str(out_dir),
+        )
+        assert code == 0
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert metrics["entropy_total"] == 0.0
+        assert metrics["entropy_captured"] is None
 
     def test_k_below_two_is_usage_error(self, capsys, tmp_path):
         data = gen_xor(4, 0.15, seed=0)
@@ -320,3 +360,9 @@ class TestExperimentFlags:
         assert code == 2
         assert flags[0] in err and "digits preset only" in err
         assert not any(tmp_path.iterdir())
+
+    def test_digits_labeled_needs_input(self, capsys, tmp_path):
+        code, _, err = run(capsys, "exp", "digits", "--labeled", "--out", str(tmp_path / "d"))
+        assert code == 2
+        assert "--labeled needs --input" in err
+        assert not (tmp_path / "d").exists()

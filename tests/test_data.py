@@ -7,6 +7,7 @@ import pytest
 
 from invkern import (
     PROJ,
+    Dataset,
     SIGN,
     KernelSpec,
     angle_between_lines_deg,
@@ -184,6 +185,58 @@ class TestLoadCsv(object):
     def test_empty_file(self, tmp_path):
         with pytest.raises(FormatError):
             load_csv(self.write(tmp_path, ""))
+
+    @pytest.mark.parametrize("cell,kind", [
+        ("x", "non-numeric"), ("nan", "non-finite"), ("-inf", "non-finite"), ("", "non-numeric"),
+    ])
+    def test_bad_cell_deep_in_file(self, tmp_path, cell, kind):
+        rows = [["0.5"] * 299 + ["1"] for _ in range(600)]
+        rows[499][199] = cell
+        text = "".join(",".join(row) + "\n" for row in rows)
+        with pytest.raises(ParseError) as err:
+            load_csv(self.write(tmp_path, text), has_labels=True)
+        assert (err.value.line, err.value.column) == (500, 200)
+        assert f"{kind} cell {cell!r} at line 500, column 200" in str(err.value)
+
+    def test_first_bad_row_wins(self, tmp_path):
+        # An earlier non-finite cell is reported before a later non-numeric one.
+        with pytest.raises(ParseError) as err:
+            load_csv(self.write(tmp_path, "1,2\n3,inf\nx,5\n"))
+        assert (err.value.line, err.value.column) == (2, 2)
+
+    def test_finite_cells_whose_row_sum_overflows(self, tmp_path):
+        data = load_csv(self.write(tmp_path, "1e308,1e308,-1e308\n1,2,3\n"))
+        np.testing.assert_array_equal(data.points, [[1e308, 1e308, -1e308], [1, 2, 3]])
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        cells = [" 1.5", "2.5 ", "\t-3e2\t", "1_000", "+.5", "1E-3", "7"]
+        data = load_csv(self.write(tmp_path, ",".join(cells) + "\n"))
+        np.testing.assert_array_equal(data.points, [[float(c) for c in cells]])
+
+    def test_save_matches_per_cell_writer(self, tmp_path):
+        import csv
+
+        def reference(data, path):
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                for i, row in enumerate(data.points):
+                    cells = [repr(float(v)) for v in row]
+                    if data.labels is not None:
+                        cells.append(str(int(data.labels[i])))
+                    writer.writerow(cells)
+
+        rng = np.random.default_rng(7)
+        floats = rng.standard_normal((20, 5)) * 10.0 ** rng.integers(-300, 300, (20, 5))
+        floats[0, :3] = [0.0, -0.0, 5e-324]
+        for data in (
+            Dataset(floats, rng.integers(4, size=20)),
+            Dataset(floats),
+            Dataset(rng.standard_normal((20, 5)).astype(np.float32)),
+            Dataset(np.arange(12).reshape(4, 3), [3, 0, 1, 2]),
+        ):
+            save_dataset(data, tmp_path / "new.csv")
+            reference(data, tmp_path / "ref.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_round_trip(self, tmp_path):
         data = gen_xor(5, 0.15, seed=6)
