@@ -56,12 +56,9 @@ from .invariance import (
 from .kernels import (
     BaseKernel,
     ScalarTriple,
-    eval_base,
     gaussian,
-    inner_product,
     laplace,
     linear,
-    make_triple,
     poly,
     polyhom,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NegativeDistanceError, ValidationError
+from .errors import NegativeDistanceError, ValidationError
 
 FAMILIES = ("linear", "gaussian", "laplace", "poly", "polyhom")
 
@@ -76,30 +76,6 @@ class ScalarTriple:
     syy: float
 
 
-def inner_product(x, y):
-    """Hermitian inner product sum_i x_i * conj(y_i).
-
-    Returns a float for real inputs, a complex number otherwise.
-    Conjugate-linear in ``y``, so ``<y,x> == conj(<x,y>)``.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape or x.size < 1:
-        raise DimensionError(f"incompatible shapes {x.shape} and {y.shape}")
-    value = complex(np.vdot(y, x))
-    if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
-        return value.real
-    return value
-
-
-def make_triple(x, y) -> ScalarTriple:
-    """Scalar-product triple (<x,x>, <x,y>, <y,y>) of two points."""
-    sxy = inner_product(x, y)
-    sxx = float(np.real(np.vdot(x, x)))
-    syy = float(np.real(np.vdot(y, y)))
-    return ScalarTriple(sxx, sxy, syy)
-
-
 def squared_distance(sxx, sxy, syy):
     """Derived squared distance sxx - 2 Re(sxy) + syy, clamped near zero.
 
@@ -114,8 +90,8 @@ def squared_distance(sxx, sxy, syy):
     tol = 1e-9 * np.maximum(np.maximum(sxx, syy), 1.0)
     bad = d2 < -tol
     if np.any(bad):
-        index = int(np.argmax(np.atleast_1d(bad)))
-        value = float(np.atleast_1d(d2)[index])
+        index = int(np.argmax(bad))
+        value = float(np.ravel(d2)[index])
         raise NegativeDistanceError(
             f"squared distance {value} is negative beyond tolerance; "
             "the triple does not come from an inner product",
@@ -141,8 +117,3 @@ def base_values(spec: BaseKernel, sxx, sxy, syy):
     if spec.family == "gaussian":
         return np.exp(-d2 / (2.0 * spec.sigma**2))
     return np.exp(-np.sqrt(d2) / spec.sigma)
-
-
-def eval_base(spec: BaseKernel, triple: ScalarTriple) -> float:
-    """Evaluate one base kernel on a scalar-product triple."""
-    return float(base_values(spec, triple.sxx, triple.sxy, triple.syy))

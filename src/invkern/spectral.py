@@ -196,7 +196,11 @@ def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
     if eig is None:
         eig = sym_eig(gram)
     contributions, order = _entropy_ranking(eig, n)
-    if not np.any(contributions > 0.0):
+    # An axis contributes at most max|lambda| / N, since (v'1)^2 <= N.  The
+    # eigensolver's backward error, about N * eps * max|lambda|, moves the
+    # mass 1'K1 / N^2 by up to eps * max|lambda|: below that is round-off.
+    noise = np.finfo(float).eps * np.max(np.abs(eig.eigenvalues))
+    if not np.any(contributions > noise):
         raise DegenerateEmbeddingError("all entropy contributions vanish")
     axes = order[:n_axes]
     embedding = np.sqrt(np.maximum(eig.eigenvalues[axes], 0.0)) * eig.eigenvectors[:, axes]

@@ -1,0 +1,41 @@
+"""Scalar reference implementations of the scalar-product triple.
+
+The package reads every triple from a batched ``X @ Xᴴ`` field.  These
+one-pair formulas, written straight from the definitions, are what the
+hand-formula and isometry tests compare that field against.
+"""
+
+import numpy as np
+
+from invkern import ScalarTriple
+from invkern.errors import DimensionError
+from invkern.kernels import base_values
+
+
+def inner_product(x, y):
+    """Hermitian inner product sum_i x_i * conj(y_i).
+
+    Returns a float for real inputs, a complex number otherwise.
+    Conjugate-linear in ``y``, so ``<y,x> == conj(<x,y>)``.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape or x.size < 1:
+        raise DimensionError(f"incompatible shapes {x.shape} and {y.shape}")
+    value = complex(np.vdot(y, x))
+    if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+        return value.real
+    return value
+
+
+def make_triple(x, y) -> ScalarTriple:
+    """Scalar-product triple (<x,x>, <x,y>, <y,y>) of two points."""
+    sxy = inner_product(x, y)
+    sxx = float(np.real(np.vdot(x, x)))
+    syy = float(np.real(np.vdot(y, y)))
+    return ScalarTriple(sxx, sxy, syy)
+
+
+def eval_base(spec, triple: ScalarTriple) -> float:
+    """Evaluate one base kernel on a scalar-product triple."""
+    return float(base_values(spec, triple.sxx, triple.sxy, triple.syy))

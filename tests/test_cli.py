@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from invkern import gen_xor, save_dataset
+from invkern import KernelSpec, build_gram, gen_xor, keca_embed, linear, load_csv, save_dataset
 from invkern.cli import main
+from invkern.errors import DegenerateEmbeddingError
 
 
 def run(capsys, *argv):
@@ -101,13 +102,13 @@ class TestEval:
         import invkern.invariance as invariance
 
         calls = []
-        original = invariance.triple_tiles
+        original = invariance._triple_field
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(invariance, "triple_tiles", counting)
+        monkeypatch.setattr(invariance, "_triple_field", counting)
         code, out, _ = run(
             capsys, "eval", "--kernel", "gaussian", "--sigma", "1",
             "--inv", "sign", "--x", "1,0", "--y", "0,1",
@@ -252,19 +253,22 @@ class TestCluster:
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert "accuracy" not in metrics
 
-    def test_zero_entropy_total_gives_null_captured(self, capsys, tmp_path):
-        # A linear Gram of points summing to the zero vector sums to zero.
+    def test_zero_entropy_total_exits_degenerate(self, capsys, tmp_path):
+        # A linear Gram of points summing to the zero vector sums to zero:
+        # every entropy contribution is round-off, so no axis can be chosen.
         csv_path = tmp_path / "centered.csv"
         csv_path.write_text("1,0\n-1,0\n0,1\n0,-1\n2,0\n-2,0\n")
         out_dir = tmp_path / "out"
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "cluster", "--input", str(csv_path), "--k", "2",
             "--kernel", "linear", "--out", str(out_dir),
         )
-        assert code == 0
-        metrics = json.loads((out_dir / "metrics.json").read_text())
-        assert metrics["entropy_total"] == 0.0
-        assert metrics["entropy_captured"] is None
+        assert code == 3
+        assert "all entropy contributions vanish" in err
+        assert not (out_dir / "metrics.json").exists()
+        gram = build_gram(load_csv(csv_path), KernelSpec(linear()))
+        with pytest.raises(DegenerateEmbeddingError):
+            keca_embed(gram, 2)
 
     def test_k_below_two_is_usage_error(self, capsys, tmp_path):
         data = gen_xor(4, 0.15, seed=0)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invkern import (
     PHASE,
@@ -13,6 +15,7 @@ from invkern import (
     ChainCompatibilityWarning,
     GroupElement,
     Invariance,
+    InvarianceReport,
     KernelSpec,
     apply_group,
     chain,
@@ -26,6 +29,7 @@ from invkern import (
     invariant_inner,
     kernel_label,
     kernel_triple,
+    laplace,
     linear,
     median_heuristic_sigma,
     parse_invariance,
@@ -379,6 +383,34 @@ class TestCheckInvariance:
                 report = check_invariance(KernelSpec(base, inv), pts, 8, seed=1)
                 assert report.passed, (inv, base, report)
 
+    def test_reports_are_pinned(self):
+        # Exact reports, a Laplace false failure included: evaluating the
+        # pairs in batches must not move a bit of them.
+        rng = np.random.default_rng(31)
+        real = rng.standard_normal((6, 3))
+        cplx = complex_points(rng, 6, 3)
+        three = np.random.default_rng(1).standard_normal((3, 4))
+        cases = [
+            (KernelSpec(gaussian(1.2), SIGN), real, 8, 3, None,
+             (True, 0.0, 1e-10, 1.0)),
+            (KernelSpec(laplace(0.9), SCALE), real, 8, 3, None,
+             (True, 4.440892098500626e-16, 1e-10, 1.0)),
+            (KernelSpec(poly(3), rotation(3)), cplx, 8, 3, None,
+             (True, 1.8044374883174896e-09, 4.7089570037460684e-05, 470895.7003746068)),
+            (KernelSpec(linear(), PROJ), cplx, 8, 3, None,
+             (True, 3.3306690738754696e-16, 1.0000000000000003e-10,
+              1.0000000000000002)),
+            (KernelSpec(gaussian(1.0)), real, 8, 0, SIGN,
+             (False, 0.8629177288783728, 1e-10, 1.0)),
+            (KernelSpec(laplace(1.0), SCALE), three, 16, 1, None,
+             (False, 1.4901161082825354e-08, 1e-10, 1.0)),
+        ]
+        for spec, pts, n_samples, seed, group, (passed, dev, threshold, scale) in cases:
+            report = check_invariance(spec, pts, n_samples, seed=seed, group=group)
+            assert report == InvarianceReport(
+                passed, dev, threshold, 1e-10, scale, n_samples
+            ), kernel_label(spec)
+
     def test_non_invariant_kernel_fails_against_sign_group(self):
         rng = np.random.default_rng(22)
         pts = rng.standard_normal((20, 3))
@@ -493,3 +525,67 @@ class TestKernelValueChecks:
             check_invariance(KernelSpec(gaussian(1.0), SIGN), np.zeros((0, 2)))
         with pytest.raises(ValidationError, match="at least 1"):
             check_invariance(KernelSpec(gaussian(1.0), SIGN), np.ones((3, 2)), 0)
+
+
+PROPERTY_INVARIANCES = (SIGN, rotation(3), PHASE, SCALE, PROJ, chain(SCALE, SIGN))
+PROPERTY_BASES = (linear(), gaussian(1.5), laplace(1.5), poly(2), polyhom(2))
+# Round-off of one rewritten triple component, in units of the triple's
+# size: <x,y> over at most 4 complex coordinates, one rounding per
+# coordinate in the group action, then at most a cube (rot:3) or a
+# division and a square root (scale, proj) add up to about 40 eps; 64 eps
+# leaves room over that.
+ROUNDING = 64 * np.finfo(float).eps
+
+
+def invariance_tolerance(base, size):
+    """Largest |k(g.x, h.y) - k(x, y)| that round-off alone explains.
+
+    ``size`` bounds every component of both rewritten triples (|sxy| is
+    below the diagonal by Cauchy-Schwarz), so each component is off by at
+    most err = ROUNDING * size.  The base kernel passes err on through its
+    slope: 1 for linear, degree * (size + 1)^(degree - 1) for the
+    polynomials, and 1 / (2 sigma^2) per unit of the squared distance
+    a + c - 2 Re s, which is off by up to 4 err, for the Gaussian.  The
+    Laplace kernel takes the square root of that distance, and
+    sqrt(d2 + delta) - sqrt(d2) reaches sqrt(delta) at d2 = 0 (a pair on
+    one orbit), so its bound is sqrt(4 err) / sigma, of order sqrt(eps).
+    """
+    err = ROUNDING * size
+    if base.family == "linear":
+        return err
+    if base.family == "poly":
+        return base.degree * (size + 1.0) ** (base.degree - 1) * err
+    if base.family == "polyhom":
+        return base.degree * size ** (base.degree - 1) * err
+    if base.family == "gaussian":
+        return 4.0 * err / (2.0 * base.sigma**2)
+    return np.sqrt(4.0 * err) / base.sigma
+
+
+@st.composite
+def point_pairs(draw):
+    # Grid coordinates make coincident pairs and pairs on one orbit likely.
+    d = draw(st.integers(1, 4))
+    grid = st.lists(st.integers(-30, 30).map(lambda k: k / 10), min_size=2 * d, max_size=2 * d)
+    pair = np.array(draw(grid)).reshape(2, d)
+    if draw(st.booleans()):
+        pair = pair + 1j * np.array(draw(grid)).reshape(2, d)
+    pair[np.all(pair == 0, axis=1), 0] = 1.0  # scale and proj need nonzero points
+    return pair
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pair=point_pairs(), seed=st.integers(0, 2**32 - 1))
+def test_kernels_are_invariant_under_their_groups(pair, seed):
+    rng = np.random.default_rng(seed)
+    for inv in PROPERTY_INVARIANCES:
+        x, y = pair.astype(complex) if inv == rotation(3) else pair
+        complex_field = np.iscomplexobj(x)
+        gx = apply_group(sample_group_element(inv, rng, complex_field), x)
+        hy = apply_group(sample_group_element(inv, rng, complex_field), y)
+        triples = [kernel_triple(KernelSpec(linear(), inv), *p) for p in ((x, y), (gx, hy))]
+        size = max(max(t.sxx, t.syy) for t in triples)
+        for base in PROPERTY_BASES:
+            spec = KernelSpec(base, inv)
+            deviation = abs(eval_kernel(spec, gx, hy) - eval_kernel(spec, x, y))
+            assert deviation <= invariance_tolerance(base, size), kernel_label(spec)

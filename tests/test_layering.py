@@ -29,3 +29,53 @@ def test_no_module_imports_private_names_of_a_sibling():
     assert len(modules) > 5
     offenders = [line for path in modules for line in private_imports(path)]
     assert offenders == []
+
+
+def functions_naming(name: str) -> set:
+    """``module.function`` of every place in the package that names ``name``.
+
+    A use outside any function counts as ``module.<module>``; a nested
+    function counts as itself, not as its enclosing one.
+    """
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.add(where)
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
+    return found
+
+
+def test_one_function_rewrites_triples():
+    # Every kernel value, Gram tile or pair, goes through the one rewrite
+    # step; a second caller would be a second triple path.
+    assert functions_naming("transform_triples") == {
+        "invariance.transform_triples",
+        "invariance._rewrite",
+    }
+
+
+def test_no_scalar_triple_copies_in_the_package():
+    # The scalar one-pair formulas live in tests/oracles.py as references.
+    scalar = {"inner_product", "make_triple", "eval_base"}
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, ast.alias):
+                names = [node.asname or node.name]
+            defined.extend(f"{path.name}: {n}" for n in names if n in scalar)
+    assert defined == []

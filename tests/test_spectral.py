@@ -29,7 +29,6 @@ from invkern import (
     kmeans,
     laplace,
     linear,
-    make_triple,
     poly,
     polyhom,
     renyi_entropy,
@@ -41,6 +40,7 @@ from invkern import (
 from invkern.errors import DegenerateEmbeddingError, ValidationError, ZeroVectorError
 from invkern.invariance import TILE_ROWS
 from invkern.spectral import LANCZOS_MIN_N
+from oracles import make_triple
 
 
 def complex_points(rng, n_points, dim, scale=1.0):
