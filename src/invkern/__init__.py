@@ -29,18 +29,15 @@ from .invariance import (
     SCALE,
     SIGN,
     ChainCompatibilityWarning,
-    GroupElement,
     Invariance,
     InvarianceReport,
     KernelSpec,
     apply_group,
     chain,
     check_invariance,
-    compose,
     eval_kernel,
     format_invariance,
     frobenius_inner,
-    identity_element,
     invariant_inner,
     kernel_label,
     kernel_matrix,

@@ -11,6 +11,7 @@ without ever materializing the quotient features.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -153,122 +154,57 @@ def kernel_label(spec: KernelSpec) -> str:
 
 # ---------------------------------------------------------------------------
 # Group elements and actions
+#
+# Every invariance acts by scalar multiplication, so a group element is
+# its nonzero scalar factor: the identity is 1.0 and composition is the
+# product.
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """One element of an invariance group.
+def _turn(num, den=1):
+    # exp(2 pi i num / den), exactly 1.0 at whole turns and -1.0 at half turns.
+    num = num % den
+    if num == 0:
+        return 1.0
+    if 2 * num == den:
+        return -1.0
+    return complex(np.exp(2j * np.pi * num / den))
 
-    The payload ``value`` depends on ``kind``: rotation stores the
-    residue ell (with the order in ``m``), phase the angle in [0, 1),
-    scale the log-factor, proj the nonzero complex factor; chains hold
-    one element per stage in ``parts``.
+
+def apply_group(g, x):
+    """Apply a group element, i.e. its scalar factor, to data: ``x * g``.
+
+    ``g`` may be a scalar or an array that broadcasts against ``x``.  A
+    factor with zero imaginary part is taken as real, so it keeps real
+    data real; a genuinely complex factor on real data raises FieldError.
     """
-
-    kind: str
-    value: object = None
-    m: int = 0
-    parts: tuple = ()
-
-
-def identity_element(spec: Invariance) -> GroupElement:
-    """The identity of the group described by ``spec``."""
-    if spec.kind == "chain":
-        return GroupElement("chain", parts=tuple(identity_element(p) for p in spec.parts))
-    if spec.kind == "rotation":
-        return GroupElement("rotation", value=0, m=spec.m)
-    if spec.kind == "phase":
-        return GroupElement("phase", value=0.0)
-    if spec.kind == "scale":
-        return GroupElement("scale", value=0.0)
-    return GroupElement("proj", value=1.0 + 0.0j)
+    x, g = np.asarray(x), np.asarray(g)
+    if np.iscomplexobj(g) and not np.any(g.imag):
+        g = g.real
+    if np.iscomplexobj(g) and not np.iscomplexobj(x):
+        raise FieldError("a group element with a genuinely complex factor cannot act on real data")
+    return x * g
 
 
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Group product g*h (apply h first, then g)."""
-    if g.kind != h.kind or (g.kind == "rotation" and g.m != h.m):
-        raise ValueError("cannot compose elements of different groups")
-    if g.kind == "chain":
-        return GroupElement(
-            "chain", parts=tuple(compose(a, b) for a, b in zip(g.parts, h.parts))
-        )
-    if g.kind == "rotation":
-        return GroupElement("rotation", value=(g.value + h.value) % g.m, m=g.m)
-    if g.kind == "phase":
-        return GroupElement("phase", value=(g.value + h.value) % 1.0)
-    if g.kind == "scale":
-        return GroupElement("scale", value=g.value + h.value)
-    return GroupElement("proj", value=g.value * h.value)
-
-
-def _element_factor(g: GroupElement):
-    """Multiplicative factor of an atomic element and whether it is real.
-
-    Realness is decided from the element's parameters, not from the
-    floating factor, so sign flips stay exact on real data.
-    """
-    if g.kind == "rotation":
-        ell = g.value % g.m
-        if ell == 0:
-            return 1.0, True
-        if 2 * ell == g.m:
-            return -1.0, True
-        return complex(np.exp(2j * np.pi * ell / g.m)), False
-    if g.kind == "phase":
-        angle = g.value % 1.0
-        if angle == 0.0:
-            return 1.0, True
-        if angle == 0.5:
-            return -1.0, True
-        return complex(np.exp(2j * np.pi * angle)), False
-    if g.kind == "scale":
-        return float(np.exp(g.value)), True
-    factor = complex(g.value)
-    if factor == 0:
-        raise ValueError("proj group elements must be nonzero")
-    return (factor.real, True) if factor.imag == 0.0 else (factor, False)
-
-
-def apply_group(g: GroupElement, x):
-    """Apply one group element to a data point."""
-    x = np.asarray(x)
-    if g.kind == "chain":
-        for part in g.parts:
-            x = apply_group(part, x)
-        return x
-    factor, is_real = _element_factor(g)
-    if not is_real and not np.iscomplexobj(x):
-        raise FieldError(
-            f"{g.kind} element with a genuinely complex factor cannot act on real data"
-        )
-    return x * factor
-
-
-def sample_group_element(spec: Invariance, rng, complex_field: bool) -> GroupElement:
-    """Draw a random group element with full support on the group.
+def sample_group_element(spec: Invariance, rng, complex_field: bool):
+    """Draw the factor of a random group element with full support on the group.
 
     On a real data field, continuous phase-like groups are restricted to
-    the subgroup that preserves real vectors (the sign subgroup).
+    the subgroup that preserves real vectors (the sign subgroup), so sign,
+    phase, scale and proj factors are Python floats.  A chain's factor is
+    the product of its stages' factors, drawn in stage order.
     """
     if spec.kind == "chain":
-        return GroupElement(
-            "chain",
-            parts=tuple(sample_group_element(p, rng, complex_field) for p in spec.parts),
-        )
+        return math.prod(sample_group_element(p, rng, complex_field) for p in spec.parts)
     if spec.kind == "rotation":
-        return GroupElement("rotation", value=int(rng.integers(spec.m)), m=spec.m)
+        return _turn(int(rng.integers(spec.m)), spec.m)
     if spec.kind == "phase":
-        if complex_field:
-            return GroupElement("phase", value=float(rng.random()))
-        return GroupElement("phase", value=0.5 * float(rng.integers(2)))
+        return _turn(float(rng.random()) if complex_field else 0.5 * float(rng.integers(2)))
     if spec.kind == "scale":
-        return GroupElement("scale", value=float(rng.standard_normal()))
+        return float(np.exp(rng.standard_normal()))
     magnitude = float(np.exp(rng.standard_normal()))
     if complex_field:
-        return GroupElement(
-            "proj", value=magnitude * complex(np.exp(2j * np.pi * rng.random()))
-        )
-    return GroupElement("proj", value=complex(magnitude * (2.0 * rng.integers(2) - 1.0)))
+        return magnitude * complex(np.exp(2j * np.pi * rng.random()))
+    return float(magnitude * (2.0 * rng.integers(2) - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +475,8 @@ def check_invariance(
     rows, cols, gs, hs = zip(*picks)
     xs, ys = points[list(rows)], points[list(cols)]
     plain = _checked_values(spec.base, _pair_triples(spec.invariance, xs, ys), 0, 1)
-    gxs = [apply_group(g, x) for g, x in zip(gs, xs)]
-    hys = [apply_group(h, y) for h, y in zip(hs, ys)]
+    gxs = apply_group(np.array(gs)[:, None], xs)
+    hys = apply_group(np.array(hs)[:, None], ys)
     moved = _checked_values(spec.base, _pair_triples(spec.invariance, gxs, hys), 0, 1)
     max_dev = float(np.max(np.abs(moved - plain)))
     scale = float(np.max(np.abs([plain, moved])))

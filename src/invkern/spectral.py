@@ -24,6 +24,10 @@ from .invariance import KernelSpec, kernel_matrix
 # up to about 1250 points, Lanczos from 1500 on (see README).
 LANCZOS_MIN_N = 1500
 
+# k-means restarts (best inertia wins) and the Lloyd iteration cap of each.
+_KMEANS_RESTARTS = 10
+_KMEANS_MAX_ITER = 300
+
 
 @dataclass
 class GramMatrix:
@@ -235,12 +239,12 @@ def _seed_centers(points, k, metric, rng):
     return points[chosen].copy()
 
 
-def _lloyd(points, centers, metric, max_iter):
+def _lloyd(points, centers, metric):
     n, k = len(points), len(centers)
     previous = None
     labels = np.zeros(n, dtype=int)
     inertia = 0.0
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dist = _pairwise_distance(points, centers, metric)
         labels = np.argmin(dist, axis=1)
         own = dist[np.arange(n), labels]
@@ -268,13 +272,12 @@ def _lloyd(points, centers, metric, max_iter):
     return labels, inertia
 
 
-def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0,
-           n_restarts: int = 10, max_iter: int = 300):
+def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0):
     """Deterministic k-means with k-means++ seeding.
 
     The angular metric treats rows as unit vectors with distance
     1 - cos; empty clusters are re-seeded at the farthest point.  Best
-    inertia over ``n_restarts`` restarts wins, ties going to the
+    inertia over ten restarts wins, ties going to the
     earliest restart, so a fixed seed fixes the labels.
     """
     pts = np.asarray(points, dtype=float)
@@ -286,24 +289,23 @@ def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0,
         raise ValidationError(f"unknown metric {metric!r}")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(n_restarts):
+    for _ in range(_KMEANS_RESTARTS):
         centers = _seed_centers(pts, k, metric, rng)
-        labels, inertia = _lloyd(pts, centers, metric, max_iter)
+        labels, inertia = _lloyd(pts, centers, metric)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels, float(best_inertia)
 
 
-def cluster_gram(gram, k: int, seed: int = 0, n_axes: int | None = None) -> ClusteringResult:
-    """Run the spectral pipeline on a prebuilt Gram matrix.
+def cluster_gram(gram, k: int, seed: int = 0) -> ClusteringResult:
+    """Run the spectral pipeline on a prebuilt Gram matrix, embedding on k axes.
 
     From ``LANCZOS_MIN_N`` points on, ``entropy_contributions`` holds one
     value per computed eigenpair (see :func:`truncated_eig`), not N.
     """
-    n_axes = n_axes or k
-    eig = sym_eig(gram, n_axes)
+    eig = sym_eig(gram, k)
     total, contributions = renyi_entropy(gram, eig)
-    embedding, axes = keca_embed(gram, n_axes, eig)
+    embedding, axes = keca_embed(gram, k, eig)
     labels, inertia = kmeans(embedding, k, metric="angular", seed=seed)
     degenerate = len(np.unique(labels)) < k
     return ClusteringResult(
@@ -318,14 +320,13 @@ def cluster_gram(gram, k: int, seed: int = 0, n_axes: int | None = None) -> Clus
     )
 
 
-def spectral_cluster(data, spec: KernelSpec, k: int, seed: int = 0,
-                     n_axes: int | None = None) -> ClusteringResult:
+def spectral_cluster(data, spec: KernelSpec, k: int, seed: int = 0) -> ClusteringResult:
     """Entropy-ranked kernel spectral clustering of a dataset.
 
     Pipeline: Gram matrix -> entropy decomposition -> embedding on the
-    top ``n_axes`` (default k) axes -> angular k-means.
+    top k axes -> angular k-means.
     """
-    return cluster_gram(build_gram(data, spec), k, seed=seed, n_axes=n_axes)
+    return cluster_gram(build_gram(data, spec), k, seed=seed)
 
 
 def clustering_accuracy(labels, truth) -> float:

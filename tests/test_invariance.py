@@ -13,19 +13,16 @@ from invkern import (
     SCALE,
     SIGN,
     ChainCompatibilityWarning,
-    GroupElement,
     Invariance,
     InvarianceReport,
     KernelSpec,
     apply_group,
     chain,
     check_invariance,
-    compose,
     eval_kernel,
     format_invariance,
     frobenius_inner,
     gaussian,
-    identity_element,
     invariant_inner,
     kernel_label,
     kernel_triple,
@@ -49,42 +46,63 @@ def complex_points(rng, n_points, dim, scale=1.0):
 
 
 class TestApplyGroup:
+    # A group element is its scalar factor: identity 1.0, product composition.
     def test_sign_flip(self):
-        g = GroupElement("rotation", value=1, m=2)
-        np.testing.assert_array_equal(apply_group(g, np.array([1.0, -2.0])), [-1.0, 2.0])
+        x = np.array([1.0, -2.0, 0.1])
+        out = apply_group(-1.0, x)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [-1.0, 2.0, -0.1])
+        np.testing.assert_array_equal(apply_group(-1.0, out), x)
 
     def test_phase_quarter_turn(self):
-        g = GroupElement("phase", value=0.25)
-        out = apply_group(g, np.array([1.0 + 0j, 0.0 + 0j]))
-        np.testing.assert_allclose(out, [1j, 0], atol=1e-15)
+        out = apply_group(1j, np.array([1.0 + 0j, 0.0 + 0j]))
+        np.testing.assert_array_equal(out, [1j, 0])
 
     def test_scale(self):
-        g = GroupElement("scale", value=np.log(3.0))
-        np.testing.assert_allclose(apply_group(g, np.array([1.0, 1.0])), [3.0, 3.0])
+        np.testing.assert_allclose(apply_group(3.0, np.array([1.0, 1.0])), [3.0, 3.0])
 
     def test_complex_element_on_real_data_rejected(self):
-        g = GroupElement("rotation", value=1, m=3)
-        with pytest.raises(FieldError):
-            apply_group(g, np.array([1.0, 2.0]))
+        for g in (np.exp(2j * np.pi / 3), 1j, np.array([[1.0], [1j]])):
+            with pytest.raises(FieldError):
+                apply_group(g, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
     def test_half_phase_keeps_real_data_real(self):
-        g = GroupElement("phase", value=0.5)
-        out = apply_group(g, np.array([1.0, -2.0]))
+        # A factor with zero imaginary part acts as a real one.
+        out = apply_group(-1.0 + 0j, np.array([1.0, -2.0]))
         assert not np.iscomplexobj(out)
         np.testing.assert_array_equal(out, [-1.0, 2.0])
+
+    def test_real_field_samples_are_floats(self):
+        rng = np.random.default_rng(10)
+        x = np.array([1.5, -2.0, 0.25])
+        for spec in (SIGN, PHASE, SCALE, PROJ, chain(SCALE, SIGN), chain(SCALE, PHASE)):
+            for _ in range(20):
+                g = sample_group_element(spec, rng, False)
+                assert type(g) is float and g != 0.0, format_invariance(spec)
+                out = apply_group(g, x)
+                assert out.dtype == np.float64
+                if spec in (SIGN, PHASE):
+                    assert g in (1.0, -1.0)
+                    np.testing.assert_array_equal(np.abs(out), np.abs(x))
 
     def test_identity_and_composition(self):
         rng = np.random.default_rng(11)
         x = complex_points(rng, 1, 4)[0]
-        for spec in [SIGN, rotation(5), PHASE, SCALE, PROJ, chain(SCALE, SIGN)]:
-            e = identity_element(spec)
-            np.testing.assert_allclose(apply_group(e, x), x)
+        np.testing.assert_array_equal(apply_group(1.0, x), x)
+        for spec in [SIGN, rotation(5), PHASE, SCALE, PROJ, chain(SCALE, SIGN), chain(SCALE, PHASE)]:
             for _ in range(10):
                 g = sample_group_element(spec, rng, True)
                 h = sample_group_element(spec, rng, True)
                 left = apply_group(g, apply_group(h, x))
-                right = apply_group(compose(g, h), x)
-                np.testing.assert_allclose(left, right, atol=1e-12)
+                right = apply_group(g * h, x)
+                np.testing.assert_allclose(left, right, rtol=1e-14, atol=0)
+
+    def test_broadcast_moves_each_row_by_its_factor(self):
+        rng = np.random.default_rng(12)
+        xs = complex_points(rng, 6, 3)
+        gs = [sample_group_element(chain(SCALE, PHASE), rng, True) for _ in xs]
+        moved = apply_group(np.array(gs)[:, None], xs)
+        np.testing.assert_array_equal(moved, [apply_group(g, x) for g, x in zip(gs, xs)])
 
 
 class TestInvariantInner:

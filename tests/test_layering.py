@@ -64,18 +64,27 @@ def test_one_function_rewrites_triples():
     }
 
 
-def test_no_scalar_triple_copies_in_the_package():
-    # The scalar one-pair formulas live in tests/oracles.py as references.
-    scalar = {"inner_product", "make_triple", "eval_base"}
+def definitions_of(names: set) -> list:
+    """``module: name`` of every def, class, assignment or import of ``names``."""
     defined = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = []
+            found = []
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
+                found = [node.name]
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                names = [node.id]
+                found = [node.id]
             elif isinstance(node, ast.alias):
-                names = [node.asname or node.name]
-            defined.extend(f"{path.name}: {n}" for n in names if n in scalar)
-    assert defined == []
+                found = [node.asname or node.name]
+            defined.extend(f"{path.name}: {n}" for n in found if n in names)
+    return defined
+
+
+def test_no_scalar_triple_copies_in_the_package():
+    # The scalar one-pair formulas live in tests/oracles.py as references.
+    assert definitions_of({"inner_product", "make_triple", "eval_base"}) == []
+
+
+def test_no_group_element_algebra_in_the_package():
+    # A group element is its scalar factor: identity 1.0, composition the product.
+    assert definitions_of({"GroupElement", "compose", "identity_element"}) == []

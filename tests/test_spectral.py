@@ -26,6 +26,7 @@ from invkern import (
     gaussian,
     gen_directions,
     keca_embed,
+    kernel_matrix,
     kmeans,
     laplace,
     linear,
@@ -39,7 +40,7 @@ from invkern import (
 )
 from invkern.errors import DegenerateEmbeddingError, ValidationError, ZeroVectorError
 from invkern.invariance import TILE_ROWS
-from invkern.spectral import LANCZOS_MIN_N
+from invkern.spectral import LANCZOS_MIN_N, _entropy_ranking
 from oracles import make_triple
 
 
@@ -181,9 +182,9 @@ def _tolerance(base, a, c):
 
 
 @st.composite
-def point_sets(draw):
-    n = draw(st.integers(2, 6))
-    d = draw(st.integers(1, 4))
+def point_sets(draw, max_n=6, max_d=4):
+    n = draw(st.integers(2, max_n))
+    d = draw(st.integers(1, max_d))
     grid = st.lists(st.integers(-30, 30).map(lambda k: k / 10), min_size=n * d, max_size=n * d)
     points = np.array(draw(grid)).reshape(n, d)
     if draw(st.booleans()):
@@ -210,6 +211,19 @@ def test_gram_matches_hand_formulas(points, inv_name, base):
             a, s, c = _hand_triple(inv_name, points[i], points[j])
             want = _hand_kernel(base, a, s, c)
             assert abs(gram[i, j] - want) <= _tolerance(base, a, c), (i, j, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(points=point_sets(max_n=12, max_d=5))
+def test_grams_are_symmetric_and_psd(points):
+    for inv_name, inv in [("none", None), *INVARIANCES.items()]:
+        pts = points.astype(complex) if inv_name == "rot:3" else points.copy()
+        if inv_name in ("scale", "proj", "chain(scale,sign)"):
+            pts[np.all(pts == 0, axis=1), 0] = 1.0  # quotient undefined at 0
+        for base in BASES:
+            gram = kernel_matrix(pts, KernelSpec(base, inv))
+            assert np.array_equal(gram, gram.T), (inv_name, base)
+            assert check_psd(gram)[1], (inv_name, base)
 
 
 class TestCheckPsd:
@@ -354,6 +368,30 @@ class TestTruncatedEig:
             [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "False"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(60, 300),
+    k=st.integers(1, 4),
+    rank=st.integers(1, 8),
+    signed=st.booleans(),
+    noise=st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truncated_eig_selects_the_dense_axes(n, k, rank, signed, noise, seed):
+    # Signed factors leave the top eigenvectors nearly orthogonal to the
+    # ones vector, so the entropy axes can sit deep in the spectrum.
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((n, rank)) if signed else rng.random((n, rank))
+    spread = rng.standard_normal((n, n)) / np.sqrt(n)
+    gram = factors @ factors.T + noise * (spread @ spread.T)
+    eig, dense = truncated_eig(gram, k), sym_eig(gram)
+    axes = _entropy_ranking(eig, n)[1][:k]
+    assert np.array_equal(axes, _entropy_ranking(dense, n)[1][:k])
+    np.testing.assert_allclose(
+        eig.eigenvalues[axes], dense.eigenvalues[axes], rtol=0, atol=1e-9 * dense.eigenvalues[0]
+    )
 
 
 class TestRenyiEntropy:
