@@ -62,7 +62,6 @@ from .kernels import (
 from .spectral import (
     ClusteringResult,
     EigenDecomposition,
-    GramMatrix,
     build_gram,
     check_psd,
     cluster_gram,

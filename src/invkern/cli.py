@@ -93,6 +93,18 @@ def _write_gram_csv(values: np.ndarray, path: Path) -> None:
         handle.writelines(",".join(map(repr, row.tolist())) + "\n" for row in values)
 
 
+def _write_heatmap(gram: np.ndarray, labels, path: Path) -> None:
+    if labels is not None:
+        order = np.argsort(labels, kind="stable")
+        gram = gram[np.ix_(order, order)]
+    path.write_text(heatmap_svg(gram), encoding="utf-8")
+
+
+def _write_scatter(points: np.ndarray, result, path: Path) -> None:
+    shown = points if points.shape[1] == 2 else result.embedding[:, :2]
+    path.write_text(scatter_svg(shown, result.labels), encoding="utf-8")
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,28 +154,22 @@ def cmd_gram(args) -> int:
     spec = _build_spec(args, points=data.points)
     gram = build_gram(data, spec)
     out = _outdir(args)
-    _write_gram_csv(gram.values, out / "gram.csv")
+    _write_gram_csv(gram, out / "gram.csv")
     min_eigenvalue, passed = check_psd(gram)
     _write_json(
         {
             "command": "gram",
             "kernel": kernel_label(spec),
-            "n_points": gram.point_count,
+            "n_points": len(gram),
             "min_eigenvalue": min_eigenvalue,
-            "trace": float(np.trace(gram.values)),
+            "trace": float(np.trace(gram)),
             "passed": passed,
         },
         out / "psd.json",
     )
     if args.svg:
-        order = (
-            np.argsort(data.labels, kind="stable")
-            if data.labels is not None
-            else np.arange(len(data))
-        )
-        reordered = gram.values[np.ix_(order, order)]
-        (out / "gram.svg").write_text(heatmap_svg(reordered), encoding="utf-8")
-    print(f"gram {gram.point_count}x{gram.point_count} min_eig {min_eigenvalue:.3e} "
+        _write_heatmap(gram, data.labels, out / "gram.svg")
+    print(f"gram {len(gram)}x{len(gram)} min_eig {min_eigenvalue:.3e} "
           f"psd {'pass' if passed else 'FAIL'}")
     return EXIT_OK
 
@@ -208,10 +214,7 @@ def cmd_cluster(args) -> int:
     metrics.update(_cluster_metrics(result, spec, data))
     _write_json(metrics, out / "metrics.json")
     if args.svg:
-        points = data.points if data.points.shape[1] == 2 else result.embedding[:, :2]
-        (out / "scatter.svg").write_text(
-            scatter_svg(points, result.labels), encoding="utf-8"
-        )
+        _write_scatter(data.points, result, out / "scatter.svg")
     accuracy = metrics.get("accuracy")
     suffix = f" accuracy {accuracy:.4f}" if accuracy is not None else ""
     print(f"cluster k={args.k} inertia {result.inertia:.6g}{suffix}")
@@ -298,13 +301,8 @@ def cmd_experiment(args) -> int:
     _write_labels(result_base.labels, out / "labels_baseline.csv")
 
     if args.svg:
-        order = np.argsort(result_inv.labels, kind="stable")
-        reordered = gram_inv.values[np.ix_(order, order)]
-        (out / "heatmap_invariant.svg").write_text(heatmap_svg(reordered), encoding="utf-8")
-        points = data.points if data.points.shape[1] == 2 else result_inv.embedding[:, :2]
-        (out / "scatter_invariant.svg").write_text(
-            scatter_svg(points, result_inv.labels), encoding="utf-8"
-        )
+        _write_heatmap(gram_inv, result_inv.labels, out / "heatmap_invariant.svg")
+        _write_scatter(data.points, result_inv, out / "scatter_invariant.svg")
 
     if inv_acc is not None and base_acc is not None:
         print(f"experiment {args.name}: invariant accuracy {inv_acc:.4f}, "
@@ -312,6 +310,13 @@ def cmd_experiment(args) -> int:
     else:
         print(f"experiment {args.name}: done (no ground-truth labels)")
     return EXIT_OK
+
+
+def _seed(text: str) -> int:
+    # numpy rejects negative seeds; argparse reports either error as a usage error.
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
+    return int(text)
 
 
 def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
@@ -341,7 +346,7 @@ def _add_io_flags(parser: argparse.ArgumentParser, input_required: bool) -> None
         help="treat the last CSV column as integer labels",
     )
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     parser.add_argument("--svg", action="store_true", help="also write SVG figures")
 
 
@@ -358,7 +363,7 @@ def _parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--y", help="second point, e.g. 0,1")
     p_eval.add_argument("--input", default=None, help="2-row CSV instead of --x/--y")
     p_eval.add_argument("--out", default=None, help="optional output directory")
-    p_eval.add_argument("--seed", type=int, default=0, help="unused; kept for uniformity")
+    p_eval.add_argument("--seed", type=_seed, default=0, help="unused; kept for uniformity")
     p_eval.set_defaults(func=cmd_eval)
 
     p_gram = sub.add_parser("gram", help="Gram matrix, PSD report, heatmap")

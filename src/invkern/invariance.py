@@ -242,9 +242,9 @@ def _check_field(spec: Invariance | None, complex_data: bool) -> None:
         raise FieldError("rotation invariance with m >= 3 requires complex data")
 
 
-def _triple_field(points, spec: Invariance | None):
+def _triple_field(points, spec: Invariance | None, ids):
     # S = P @ P^H and the norms Re diag(S) over the last two axes of a
-    # stack of point sets; a zero-norm error names the row within its set.
+    # stack of point sets; ids, shaped like the norms, name points in errors.
     points = np.asarray(points)
     points = points.astype(np.promote_types(points.dtype, np.float64), copy=False)
     _check_field(spec, np.iscomplexobj(points))
@@ -256,21 +256,26 @@ def _triple_field(points, spec: Invariance | None):
         zero = norms == 0.0
         if np.any(zero):
             raise ZeroVectorError(
-                f"point {int(np.argmax(zero)) % zero.shape[-1]} has zero norm; "
+                f"point {int(ids[zero][0])} has zero norm; "
                 f"{format_invariance(spec)} invariance is undefined there"
             )
     return inner, norms
 
 
-def _rewrite(spec: Invariance | None, sxx, sxy, syy, start: int = 0):
-    # transform_triples; a non-finite entry at (..., i, j) names pair (start + i, start + j).
+def _pair_name(rows, cols, shape, index) -> str:
+    # "(i, j)": the ids at flat index `index` of rows and cols broadcast to `shape`.
+    return "({}, {})".format(*(int(np.broadcast_to(a, shape).flat[index]) for a in (rows, cols)))
+
+
+def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols):
+    # transform_triples; errors name pairs by the ids in rows and cols (broadcast).
     with np.errstate(over="ignore", invalid="ignore"):
         triple = transform_triples(spec, sxx, sxy, syy)
     finite = np.isfinite(triple[0]) & np.isfinite(triple[1]) & np.isfinite(triple[2])
     if not np.all(finite):
-        *_, i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        pair = _pair_name(rows, cols, finite.shape, np.argmin(finite))
         raise NumericalError(
-            f"non-finite kernel triple at pair ({start + i}, {start + j}); "
+            f"non-finite kernel triple at pair {pair}; "
             "the points overflow the invariance's rewrite or are not finite"
         )
     return triple
@@ -285,24 +290,27 @@ def triple_tiles(points, spec: Invariance | None):
     start:start+TILE_ROWS and columns start:N, rewritten by
     :func:`transform_triples`; the components broadcast to one shape.
     """
-    inner, norms = _triple_field(points, spec)
-    for start in range(0, len(inner), TILE_ROWS):
-        rows = slice(start, start + TILE_ROWS)
-        yield start, _rewrite(
-            spec, norms[rows, None], inner[rows, start:], norms[None, start:], start
-        )
+    inner, norms = _triple_field(points, spec, np.arange(len(points)))
+    n = len(inner)
+    for start in range(0, n, TILE_ROWS):
+        rows = slice(start, min(start + TILE_ROWS, n))
+        sxx, sxy, syy = norms[rows, None], inner[rows, start:], norms[None, start:]
+        yield start, _rewrite(spec, sxx, sxy, syy, *np.ogrid[rows, start:n])
 
 
-def _pair_triples(spec: Invariance | None, xs, ys):
-    # Rewritten triples of the pairs (xs[k], ys[k]): entry (0, 1) of the field
-    # of each [xs[k]; ys[k]], as (n, 1, 1) arrays whose errors name pair (0, 1).
+def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
+    # Rewritten triples of the pairs (xs[k], ys[k]), named rows[k] and cols[k] in
+    # errors: entry (0, 1) of the field of each [xs[k]; ys[k]], as length-n arrays.
     # Each 2x2 field is the BLAS product of a two-point Gram; a row-wise sum rounds otherwise.
     xs, ys = np.asarray(xs), np.asarray(ys)
     if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] < 1:
         raise DimensionError(f"incompatible shapes {xs.shape[1:]} and {ys.shape[1:]}")
-    inner, norms = _triple_field(np.stack([xs, ys], axis=1), spec)
-    triple = _rewrite(spec, norms[:, :, None], inner, norms[:, None, :])
-    return tuple(t[:, 0:1, 1:2] for t in np.broadcast_arrays(*triple))
+    ids = np.stack([rows, cols], axis=1)
+    inner, norms = _triple_field(np.stack([xs, ys], axis=1), spec, ids)
+    triple = _rewrite(
+        spec, norms[:, :, None], inner, norms[:, None, :], ids[:, :, None], ids[:, None, :]
+    )
+    return tuple(t[:, 0, 1] for t in np.broadcast_arrays(*triple))
 
 
 def kernel_triple(spec: KernelSpec, x, y) -> ScalarTriple:
@@ -310,7 +318,7 @@ def kernel_triple(spec: KernelSpec, x, y) -> ScalarTriple:
 
     The one-pair case of the batched ``[x; y]`` triple field.
     """
-    sxx, sxy, syy = _pair_triples(spec.invariance, np.asarray(x)[None], np.asarray(y)[None])
+    sxx, sxy, syy = _pair_triples(spec.invariance, [x], [y], [0], [1])
     return ScalarTriple(float(sxx.item()), sxy.item(), float(syy.item()))
 
 
@@ -319,23 +327,22 @@ def invariant_inner(spec: Invariance, x, y):
     return kernel_triple(KernelSpec(BaseKernel("linear"), spec), x, y).sxy
 
 
-def _checked_values(base: BaseKernel, triple, row: int, col: int) -> np.ndarray:
-    # Base-kernel values; an error at entry (..., i, j) names pair (row + i, col + j).
+def _checked_values(base: BaseKernel, triple, rows, cols) -> np.ndarray:
+    # Base-kernel values; errors name pairs by the ids in rows and cols (broadcast).
     try:
-        # Overflow is reported as a NumericalError below, not warned.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # Overflow and division by zero are reported as a NumericalError below, not warned.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = base_values(base, *triple)
     except NegativeDistanceError as err:
-        *_, i, j = np.unravel_index(err.index, np.broadcast(*triple).shape)
+        pair = _pair_name(rows, cols, np.broadcast(*triple).shape, err.index)
         raise NegativeDistanceError(
-            f"kernel evaluation failed for pair ({row + i}, {col + j}): {err}",
-            index=err.index,
+            f"kernel evaluation failed for pair {pair}: {err}", index=err.index
         ) from err
     finite = np.isfinite(values)
     if not np.all(finite):
-        *_, i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        pair = _pair_name(rows, cols, finite.shape, np.argmin(finite))
         raise NumericalError(
-            f"non-finite kernel value at pair ({row + i}, {col + j}); "
+            f"non-finite kernel value at pair {pair}; "
             "the base kernel overflows on these points"
         )
     return values
@@ -352,8 +359,8 @@ def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
     n = len(points)
     gram = np.zeros((n, n))
     for start, triple in triple_tiles(points, spec.invariance):
-        values = _checked_values(spec.base, triple, start, start)
-        stop = start + len(values)
+        stop = min(start + TILE_ROWS, n)
+        values = _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n])
         gram[start:stop, start:] = np.triu(values)
         # Rows below this tile are still zero in these columns, so adding
         # the transposed strict upper triangle mirrors it exactly.
@@ -448,8 +455,8 @@ def check_invariance(
     ``group`` defaults to the spec's own invariance; passing a different
     group turns this into a falsifier for kernels that should *not* be
     invariant.  The pass threshold is ``tolerance`` relative to the
-    largest kernel magnitude seen, floored at 1.  A kernel value that
-    overflows raises NumericalError (see :func:`eval_kernel`).
+    largest kernel magnitude seen, floored at 1.  Errors name rows of
+    ``samples``; a kernel value that overflows raises NumericalError.
 
     Known false failure: a Laplace base with a scale, proj or chained
     invariance can fail on a pair drawn from one orbit, where the square
@@ -472,12 +479,13 @@ def check_invariance(
 
     # Each sample draws its pair, then g, then h; all pairs go in one batch.
     picks = [(*rng.integers(len(points), size=2), draw(), draw()) for _ in range(n_group_samples)]
-    rows, cols, gs, hs = zip(*picks)
-    xs, ys = points[list(rows)], points[list(cols)]
-    plain = _checked_values(spec.base, _pair_triples(spec.invariance, xs, ys), 0, 1)
-    gxs = apply_group(np.array(gs)[:, None], xs)
-    hys = apply_group(np.array(hs)[:, None], ys)
-    moved = _checked_values(spec.base, _pair_triples(spec.invariance, gxs, hys), 0, 1)
+    rows, cols, gs, hs = (np.array(column) for column in zip(*picks))
+    xs, ys = points[rows], points[cols]
+    gxs, hys = apply_group(gs[:, None], xs), apply_group(hs[:, None], ys)
+    plain, moved = (
+        _checked_values(spec.base, _pair_triples(spec.invariance, a, b, rows, cols), rows, cols)
+        for a, b in ((xs, ys), (gxs, hys))
+    )
     max_dev = float(np.max(np.abs(moved - plain)))
     scale = float(np.max(np.abs([plain, moved])))
     threshold = tolerance * max(1.0, scale)
@@ -540,6 +548,9 @@ def parse_invariance(text: str) -> Invariance:
         for pos, ch in enumerate(inner):
             if ch == "(":
                 depth += 1
+                # This chain, `depth` inside it, a leaf; checked before recursing.
+                if depth + 2 > _MAX_CHAIN_DEPTH:
+                    raise ParseError(f"chain nesting deeper than {_MAX_CHAIN_DEPTH}")
             elif ch == ")":
                 depth -= 1
                 if depth < 0:

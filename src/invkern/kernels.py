@@ -32,8 +32,13 @@ class BaseKernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown kernel family {self.family!r}")
-        if self.family in ("gaussian", "laplace") and not self.sigma > 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+        # 2 sigma^2 by products: sigma**2 raises OverflowError on a large float.
+        if self.family in ("gaussian", "laplace") and not (
+            self.sigma > 0 and 0.0 < 2.0 * self.sigma * self.sigma < np.inf
+        ):
+            raise ValidationError(
+                f"sigma must be positive with 2 sigma^2 in (0, inf), got {self.sigma}"
+            )
         if self.family in ("poly", "polyhom") and self.degree < 1:
             raise ValidationError(f"degree must be at least 1, got {self.degree}")
 

@@ -30,16 +30,6 @@ _KMEANS_MAX_ITER = 300
 
 
 @dataclass
-class GramMatrix:
-    """Symmetric kernel matrix with provenance."""
-
-    values: np.ndarray
-    kernel: KernelSpec
-    point_count: int
-    source: str | None = None
-
-
-@dataclass
 class EigenDecomposition:
     """Eigenvalues sorted descending with orthonormal eigenvector columns."""
 
@@ -61,30 +51,23 @@ class ClusteringResult:
     degenerate: bool = False
 
 
-def _gram_values(gram) -> np.ndarray:
-    return np.asarray(getattr(gram, "values", gram), dtype=float)
-
-
-def build_gram(data, spec: KernelSpec) -> GramMatrix:
-    """:func:`invkern.invariance.kernel_matrix` of a dataset, with provenance."""
+def build_gram(data, spec: KernelSpec) -> np.ndarray:
+    """:func:`invkern.invariance.kernel_matrix` of a dataset or point array."""
     points = np.asarray(getattr(data, "points", data))
-    n = len(points)
-    if n < 2:
+    if len(points) < 2:
         raise ValidationError("need at least two points to build a Gram matrix")
-    meta = getattr(data, "meta", None)
-    source = meta.get("name") if isinstance(meta, dict) else None
-    return GramMatrix(kernel_matrix(points, spec), spec, n, source)
+    return kernel_matrix(points, spec)
 
 
 def check_psd(gram):
     """Minimum eigenvalue and whether it clears -1e-8 * max(trace, 1)."""
-    values = _gram_values(gram)
+    gram = np.asarray(gram, dtype=float)
     try:
-        eigenvalues = np.linalg.eigvalsh(values)
+        eigenvalues = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"eigenvalue computation failed: {err}") from err
     min_eigenvalue = float(eigenvalues[0])
-    passed = min_eigenvalue >= -1e-8 * max(float(np.trace(values)), 1.0)
+    passed = min_eigenvalue >= -1e-8 * max(float(np.trace(gram)), 1.0)
     return min_eigenvalue, passed
 
 
@@ -119,10 +102,10 @@ def sym_eig(gram, n_axes: int | None = None) -> EigenDecomposition:
     largest-magnitude component of each eigenvector positive, so outputs
     are reproducible across runs.
     """
-    values = _gram_values(gram)
-    if n_axes is not None and len(values) >= LANCZOS_MIN_N:
-        return truncated_eig(values, n_axes)
-    return _dense_eig(values)
+    gram = np.asarray(gram, dtype=float)
+    if n_axes is not None and len(gram) >= LANCZOS_MIN_N:
+        return truncated_eig(gram, n_axes)
+    return _dense_eig(gram)
 
 
 def _entropy_ranking(eig: EigenDecomposition, n: int):
@@ -148,8 +131,8 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     # only clustering at N >= LANCZOS_MIN_N needs it.
     from scipy.sparse.linalg import ArpackError, eigsh
 
-    values = _gram_values(gram)
-    n = len(values)
+    gram = np.asarray(gram, dtype=float)
+    n = len(gram)
     if not 1 <= n_axes <= n:
         raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
     # A random start, not ones(N): the Krylov space of ones cannot reach
@@ -158,7 +141,7 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     m = 2 * n_axes
     while m <= n // 2:
         try:
-            eig = _descending(*eigsh(values, k=m, which="LA", v0=v0))
+            eig = _descending(*eigsh(gram, k=m, which="LA", v0=v0))
         except ArpackError:
             break
         bound = max(eig.eigenvalues[-1], 0.0) / n
@@ -166,7 +149,7 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
         if contributions[order[n_axes - 1]] > bound * (1.0 + 1e-9):
             return eig
         m *= 2
-    return _dense_eig(values)
+    return _dense_eig(gram)
 
 
 def renyi_entropy(gram, eig: EigenDecomposition | None = None):
@@ -177,9 +160,9 @@ def renyi_entropy(gram, eig: EigenDecomposition | None = None):
     contributions sum back to the total, which is the conservation law
     the tests pin; over a truncated one they fall short of it.
     """
-    values = _gram_values(gram)
-    n = len(values)
-    total = float(values.sum()) / n**2
+    gram = np.asarray(gram, dtype=float)
+    n = len(gram)
+    total = float(gram.sum()) / n**2
     if eig is None:
         eig = sym_eig(gram)
     return total, _entropy_ranking(eig, n)[0]
@@ -194,7 +177,7 @@ def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
     rows to unit length; rows with norm below 1e-12 are left as zero
     vectors.
     """
-    n = len(_gram_values(gram))
+    n = len(gram)
     if not 1 <= n_axes <= n:
         raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
     if eig is None:
@@ -215,22 +198,19 @@ def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
     return embedding, axes.tolist()
 
 
-def _pairwise_distance(points, centers, metric):
-    if metric == "euclidean":
-        diff = points[:, None, :] - centers[None, :, :]
-        return np.sum(diff * diff, axis=2)
+def _pairwise_distance(points, centers):
+    # 1 - cos between rows and centres; a zero centre is at distance 1.
     norms = np.linalg.norm(centers, axis=1)
     unit = np.divide(centers, norms[:, None], out=np.zeros_like(centers), where=norms[:, None] > 0)
     return 1.0 - points @ unit.T
 
 
-def _seed_centers(points, k, metric, rng):
-    # k-means++: weight by squared metric distance to the nearest center.
+def _seed_centers(points, k, rng):
+    # k-means++: weight by squared distance to the nearest center.
     n = len(points)
     chosen = [int(rng.integers(n))]
     for _ in range(1, k):
-        dist = _pairwise_distance(points, points[chosen], metric).min(axis=1)
-        weights = dist if metric == "euclidean" else dist**2
+        weights = _pairwise_distance(points, points[chosen]).min(axis=1) ** 2
         total = weights.sum()
         if total <= 0.0:
             chosen.append(int(rng.integers(n)))
@@ -239,19 +219,21 @@ def _seed_centers(points, k, metric, rng):
     return points[chosen].copy()
 
 
-def _lloyd(points, centers, metric):
+def _lloyd(points, centers):
     n, k = len(points), len(centers)
     previous = None
     labels = np.zeros(n, dtype=int)
     inertia = 0.0
     for _ in range(_KMEANS_MAX_ITER):
-        dist = _pairwise_distance(points, centers, metric)
+        dist = _pairwise_distance(points, centers)
         labels = np.argmin(dist, axis=1)
         own = dist[np.arange(n), labels]
         for c in range(k):
             if np.any(labels == c):
                 continue
-            idx = int(np.argmax(own))
+            # The farthest point whose cluster keeps a member; n >= k ensures one.
+            shared = np.bincount(labels, minlength=k)[labels] > 1
+            idx = int(np.argmax(np.where(shared, own, -np.inf)))
             labels[idx] = c
             own[idx] = -np.inf
         inertia = float(np.maximum(dist[np.arange(n), labels], 0.0).sum())
@@ -259,39 +241,35 @@ def _lloyd(points, centers, metric):
             break
         previous = labels
         for c in range(k):
-            members = points[labels == c]
-            center = members.mean(axis=0)
-            if metric == "angular":
+            center = points[labels == c].mean(axis=0)
+            norm = np.linalg.norm(center)
+            if norm < 1e-12:
+                center = points[int(np.argmax(own))]
                 norm = np.linalg.norm(center)
-                if norm < 1e-12:
-                    center = points[int(np.argmax(own))]
-                    norm = np.linalg.norm(center)
-                if norm > 0:
-                    center = center / norm
+            if norm > 0:
+                center = center / norm
             centers[c] = center
     return labels, inertia
 
 
-def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0):
-    """Deterministic k-means with k-means++ seeding.
+def kmeans(points, k: int, seed: int = 0):
+    """Deterministic angular k-means with k-means++ seeding.
 
-    The angular metric treats rows as unit vectors with distance
-    1 - cos; empty clusters are re-seeded at the farthest point.  Best
-    inertia over ten restarts wins, ties going to the
-    earliest restart, so a fixed seed fixes the labels.
+    Rows are compared with unit centres by distance 1 - cos; an empty
+    cluster is re-seeded at the farthest point of a cluster with more
+    than one member.  Best inertia over ten restarts wins, ties going to
+    the earliest restart, so a fixed seed fixes the labels.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if not 1 <= k <= len(pts):
         raise ValidationError(f"k must be in [1, {len(pts)}], got {k}")
-    if metric not in ("euclidean", "angular"):
-        raise ValidationError(f"unknown metric {metric!r}")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(_KMEANS_RESTARTS):
-        centers = _seed_centers(pts, k, metric, rng)
-        labels, inertia = _lloyd(pts, centers, metric)
+        centers = _seed_centers(pts, k, rng)
+        labels, inertia = _lloyd(pts, centers)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels, float(best_inertia)
@@ -306,7 +284,7 @@ def cluster_gram(gram, k: int, seed: int = 0) -> ClusteringResult:
     eig = sym_eig(gram, k)
     total, contributions = renyi_entropy(gram, eig)
     embedding, axes = keca_embed(gram, k, eig)
-    labels, inertia = kmeans(embedding, k, metric="angular", seed=seed)
+    labels, inertia = kmeans(embedding, k, seed=seed)
     degenerate = len(np.unique(labels)) < k
     return ClusteringResult(
         labels=labels,

@@ -1,9 +1,16 @@
 """CLI behavior: values, artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invkern import KernelSpec, build_gram, gen_xor, keca_embed, linear, load_csv, save_dataset
 from invkern.cli import main
@@ -162,7 +169,7 @@ class TestGram:
                 for line in (out_dir / "gram.csv").read_text().strip().split("\n")
             ]
         )
-        expected = build_gram(data, KernelSpec(gaussian(1.5), SIGN)).values
+        expected = build_gram(data, KernelSpec(gaussian(1.5), SIGN))
         assert np.array_equal(reread, expected)
         # the per-cell writer the streamed one replaces, as a byte reference
         lines = [",".join(repr(float(v)) for v in row) for row in expected]
@@ -280,6 +287,21 @@ class TestCluster:
         )
         assert code == 2
 
+    def test_duplicate_rows_fill_every_cluster(self, capsys, tmp_path):
+        # Two distinct points and k = 4: an empty cluster must not take the
+        # only member of another one, so two clusters split each duplicate.
+        csv_path = tmp_path / "dup.csv"
+        csv_path.write_text("0.36,1.30\n" * 3 + "0.10,-0.53\n" * 3)
+        out_dir = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "cluster", "--input", str(csv_path), "--k", "4", "--sigma", "1",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        labels = (out_dir / "labels.csv").read_text().strip().split("\n")[1:]
+        assert sorted({line.split(",")[1] for line in labels}) == ["0", "1", "2", "3"]
+        assert json.loads((out_dir / "metrics.json").read_text())["degenerate"] is False
+
     def test_k_above_point_count_is_usage_error(self, capsys, tmp_path):
         csv_path = tmp_path / "three.csv"
         csv_path.write_text("1,2\n3,4\n5,7\n")
@@ -370,3 +392,60 @@ class TestExperimentFlags:
         assert code == 2
         assert "--labeled needs --input" in err
         assert not (tmp_path / "d").exists()
+
+
+@st.composite
+def cli_inputs(draw):
+    """Rows of CSV cells and the argv of one command on them (``{csv}`` is the file)."""
+    d = draw(st.integers(1, 3))
+    cell = st.sampled_from(("1", "-1", "0", "0.5", "2", "1e300"))
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=2, max_size=5))
+    rows += rows[: draw(st.integers(0, 2))]  # duplicate rows
+    rows[-1][-1] = draw(st.sampled_from((rows[-1][-1],) * 8 + ("nan", "inf")))
+    command = draw(st.sampled_from(("cluster", "gram", "eval")))
+    if command == "eval":
+        rows = rows[:2]
+    argv = [command, "--input", "{csv}", "--kernel",
+            draw(st.sampled_from(("gaussian", "laplace", "linear", "poly")))]
+    sigma = draw(st.sampled_from((None, "1", "0.05", "1e-170", "inf", "1e200", "5e-324")))
+    if sigma is not None or command == "eval":
+        argv += ["--sigma", sigma or "1"]
+    inv = draw(st.sampled_from((
+        None, "sign", "proj", "scale", "chain(scale,sign)", "chain(chain(scale,sign))",
+        "chain(" * 5 + "sign" + ")" * 5,
+    )))
+    if inv is not None:
+        argv += ["--inv", inv]
+    if command == "cluster":
+        argv += ["--k", str(draw(st.integers(2, len(rows))))]
+    return rows, argv + ["--seed", str(draw(st.sampled_from((0, 1, 7, -1))))], None
+
+
+DUPLICATE_ROWS = [["0.36", "1.30"]] * 3 + [["0.10", "-0.53"]] * 3
+DEEP_INV = "chain(" * 1200 + "sign" + ")" * 1200
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=cli_inputs())
+@example(case=(DUPLICATE_ROWS, ["eval", "--inv", DEEP_INV, "--x", "1,2", "--y", "3,4"], 2))
+@example(case=(DUPLICATE_ROWS, ["cluster", "--input", "{csv}", "--k", "2", "--seed", "-1"], 2))
+@example(case=(DUPLICATE_ROWS, ["exp", "xor", "--seed", "-1"], 2))
+@example(case=(DUPLICATE_ROWS, ["gram", "--input", "{csv}", "--sigma", "1e200"], 2))
+@example(case=(DUPLICATE_ROWS, ["gram", "--input", "{csv}", "--sigma", "1e-170"], 2))
+@example(case=(DUPLICATE_ROWS, ["gram", "--input", "{csv}", "--sigma", "inf"], 2))
+@example(case=(DUPLICATE_ROWS, ["cluster", "--input", "{csv}", "--k", "4", "--sigma", "1"], 0))
+def test_no_input_gives_a_traceback(case):
+    # Every run returns a documented exit code: no exception escapes, nothing warns.
+    rows, argv, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "in.csv"
+        csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
+        argv = [str(csv_path) if arg == "{csv}" else arg for arg in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4), stderr.getvalue()
+    if expected is not None:
+        assert code == expected, stderr.getvalue()

@@ -56,8 +56,8 @@ class TestGenXor:
 
         data = gen_xor(15, 0.15, seed=3)
         spec = KernelSpec(gaussian(1.0), SIGN)
-        gram = build_gram(data.points, spec).values
-        gram_neg = build_gram(-data.points, spec).values
+        gram = build_gram(data.points, spec)
+        gram_neg = build_gram(-data.points, spec)
         np.testing.assert_array_equal(gram, gram_neg)
 
     def test_validation(self):

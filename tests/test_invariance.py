@@ -463,6 +463,12 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_invariance(bad)
 
+    @pytest.mark.parametrize("levels", [4, 1200])
+    def test_deep_nesting_rejected_before_recursing(self, levels):
+        # 1200 levels would overflow the recursion; four exceed the chain depth
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_invariance("chain(" * levels + "sign" + ")" * levels)
+
     def test_kernel_label(self):
         assert kernel_label(KernelSpec(gaussian(22.0), SIGN)) == "gaussian(sigma=22)+sign"
         assert kernel_label(KernelSpec(poly(3))) == "poly(degree=3)"
@@ -515,7 +521,7 @@ class TestKernelValueChecks:
         pts = np.random.default_rng(23).standard_normal((7, 3))
         spec = KernelSpec(gaussian(1.3), SIGN)
         values = kernel_matrix(pts, spec)
-        assert np.array_equal(values, build_gram(pts, spec).values)
+        assert np.array_equal(values, build_gram(pts, spec))
         assert values[2, 5] == pytest.approx(eval_kernel(spec, pts[2], pts[5]), abs=1e-12)
 
     def test_eval_kernel_overflow_names_pair(self):
@@ -535,6 +541,17 @@ class TestKernelValueChecks:
 
         with pytest.raises(NumericalError):
             check_invariance(KernelSpec(poly(400)), np.full((4, 2), 10.0), group=SIGN)
+
+    def test_check_invariance_errors_name_sample_rows(self):
+        from invkern.errors import NumericalError
+
+        samples = np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [2.0, 5.0]])
+        with pytest.raises(ZeroVectorError, match="point 2 "):
+            check_invariance(KernelSpec(gaussian(1.0), SCALE), samples, seed=3, group=SIGN)
+        # only k(x_2, x_2) = (200 + 1)^400 overflows; the others are at most 4^400
+        samples = np.array([[0.1, 0.1], [0.2, 0.1], [10.0, 10.0]])
+        with pytest.raises(NumericalError, match=r"pair \(2, 2\)"):
+            check_invariance(KernelSpec(poly(400)), samples, seed=0, group=SIGN)
 
     def test_check_invariance_argument_errors_are_typed(self):
         from invkern.errors import ValidationError

@@ -15,7 +15,7 @@ from invkern import (
     polyhom,
     triple_value,
 )
-from invkern.errors import DimensionError, NegativeDistanceError
+from invkern.errors import DimensionError, NegativeDistanceError, ValidationError
 from invkern.kernels import base_values, squared_distance
 from oracles import eval_base, inner_product, make_triple
 
@@ -196,6 +196,13 @@ class TestValidation:
             gaussian(0.0)
         with pytest.raises(ValueError):
             laplace(-1.0)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-170, np.inf, 5e-324])
+    def test_two_sigma_squared_must_be_positive_and_finite(self, sigma):
+        # sigma**2 would raise OverflowError at 1e200 and round to 0 at 1e-170
+        for family in (gaussian, laplace):
+            with pytest.raises(ValidationError, match="2 sigma"):
+                family(sigma)
 
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):

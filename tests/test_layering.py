@@ -88,3 +88,21 @@ def test_no_scalar_triple_copies_in_the_package():
 def test_no_group_element_algebra_in_the_package():
     # A group element is its scalar factor: identity 1.0, composition the product.
     assert definitions_of({"GroupElement", "compose", "identity_element"}) == []
+
+
+def test_the_gram_is_a_plain_array():
+    assert definitions_of({"GramMatrix", "_gram_values"}) == []
+
+
+def test_no_function_takes_a_metric_parameter():
+    # k-means is angular only; a metric switch would bring back a second path.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = args.posonlyargs + args.args + args.kwonlyargs
+                names += [a for a in (args.vararg, args.kwarg) if a is not None]
+                if any(a.arg == "metric" for a in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -15,7 +15,6 @@ from invkern import (
     PROJ,
     SCALE,
     SIGN,
-    Dataset,
     KernelSpec,
     build_gram,
     chain,
@@ -53,19 +52,19 @@ def complex_points(rng, n_points, dim, scale=1.0):
 class TestBuildGram:
     def test_identical_points(self):
         gram = build_gram(np.array([[1.0, 2.0], [1.0, 2.0]]), KernelSpec(gaussian(1.0)))
-        np.testing.assert_array_equal(gram.values, np.ones((2, 2)))
+        np.testing.assert_array_equal(gram, np.ones((2, 2)))
 
     def test_sign_invariant_entries(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         gram = build_gram(pts, KernelSpec(gaussian(1.0), SIGN))
-        assert gram.values[0, 2] == 1.0
-        assert gram.values[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
+        assert gram[0, 2] == 1.0
+        assert gram[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
 
     def test_linear_gram_is_xxt(self):
         rng = np.random.default_rng(30)
         pts = rng.standard_normal((12, 4))
         gram = build_gram(pts, KernelSpec(linear()))
-        np.testing.assert_allclose(gram.values, pts @ pts.T, atol=1e-12)
+        np.testing.assert_allclose(gram, pts @ pts.T, atol=1e-12)
 
     def test_matches_pairwise_eval(self):
         rng = np.random.default_rng(31)
@@ -82,7 +81,7 @@ class TestBuildGram:
             gram = build_gram(pts, spec)
             for i in range(len(pts)):
                 for j in range(len(pts)):
-                    assert gram.values[i, j] == pytest.approx(
+                    assert gram[i, j] == pytest.approx(
                         eval_kernel(spec, pts[i], pts[j]), rel=1e-12, abs=1e-12
                     )
 
@@ -90,14 +89,14 @@ class TestBuildGram:
         rng = np.random.default_rng(32)
         pts = rng.standard_normal((20, 3))
         gram = build_gram(pts, KernelSpec(gaussian(0.8), SIGN))
-        assert np.array_equal(gram.values, gram.values.T)
+        assert np.array_equal(gram, gram.T)
 
     def test_unit_diagonal_for_rbf(self):
         rng = np.random.default_rng(33)
         pts = rng.standard_normal((10, 3))
         for inv in (None, SIGN, SCALE, PROJ):
             gram = build_gram(pts, KernelSpec(gaussian(1.0), inv))
-            np.testing.assert_array_equal(np.diag(gram.values), np.ones(10))
+            np.testing.assert_array_equal(np.diag(gram), np.ones(10))
 
     def test_multi_tile_gram(self):
         # N spans three row tiles, so tile seams and mirroring are covered
@@ -106,7 +105,7 @@ class TestBuildGram:
         pts = rng.standard_normal((n, 3))
         for inv in (None, SIGN, PROJ):
             spec = KernelSpec(gaussian(1.2), inv)
-            gram = build_gram(pts, spec).values
+            gram = build_gram(pts, spec)
             assert np.array_equal(gram, gram.T)
             np.testing.assert_array_equal(np.diag(gram), np.ones(n))
             picks = [0, 1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS, n - 1]
@@ -125,12 +124,6 @@ class TestBuildGram:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             build_gram(np.array([[1.0, 2.0]]), KernelSpec(gaussian(1.0)))
-
-    def test_dataset_provenance(self):
-        data = Dataset(np.eye(3), meta={"name": "probe"})
-        gram = build_gram(data, KernelSpec(gaussian(1.0)))
-        assert gram.source == "probe"
-        assert gram.point_count == 3
 
 
 INVARIANCES = {
@@ -203,7 +196,7 @@ def test_gram_matches_hand_formulas(points, inv_name, base):
         points = points.astype(complex)  # m >= 3 needs the complex field
     if inv_name in ("scale", "proj", "chain(scale,sign)"):
         points[np.all(points == 0, axis=1), 0] = 1.0  # quotient undefined at 0
-    gram = build_gram(points, KernelSpec(base, INVARIANCES[inv_name])).values
+    gram = build_gram(points, KernelSpec(base, INVARIANCES[inv_name]))
     assert np.array_equal(gram, gram.T)
     n = len(points)
     for i in range(n):
@@ -294,7 +287,7 @@ class TestSymEig:
 def _dense_pipeline(gram, k, seed=0):
     eig = sym_eig(gram)
     embedding, axes = keca_embed(gram, k, eig)
-    labels, _ = kmeans(embedding, k, metric="angular", seed=seed)
+    labels, _ = kmeans(embedding, k, seed=seed)
     return embedding, axes, labels
 
 
@@ -345,7 +338,7 @@ class TestTruncatedEig:
         dense_embedding, dense_axes, dense_labels = _dense_pipeline(gram, k)
         assert axes == dense_axes
         np.testing.assert_allclose(embedding, dense_embedding, atol=1e-8)
-        labels, _ = kmeans(embedding, k, metric="angular", seed=0)
+        labels, _ = kmeans(embedding, k, seed=0)
         assert np.array_equal(labels, dense_labels)
 
     def test_identity_never_certifies(self):
@@ -446,13 +439,18 @@ class TestKecaEmbed:
             keca_embed(np.eye(3), 4)
 
 
+def unit_rows(rng, n, d):
+    pts = rng.standard_normal((n, d))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
 class TestKmeans:
     def test_single_cluster_inertia_is_total_scatter(self):
-        rng = np.random.default_rng(39)
-        pts = rng.standard_normal((30, 2))
+        # One centre at the mean direction leaves sum(1 - cos) = N - |sum x|.
+        pts = unit_rows(np.random.default_rng(39), 30, 2)
         labels, inertia = kmeans(pts, 1, seed=0)
         assert set(labels.tolist()) == {0}
-        scatter = float(np.sum((pts - pts.mean(axis=0)) ** 2))
+        scatter = len(pts) - float(np.linalg.norm(pts.sum(axis=0)))
         assert inertia == pytest.approx(scatter, rel=1e-9)
 
     def test_separated_blobs_split_perfectly(self):
@@ -460,14 +458,13 @@ class TestKmeans:
         blob_a = rng.standard_normal((25, 2)) * 0.2 + [5, 5]
         blob_b = rng.standard_normal((25, 2)) * 0.2 - [5, 5]
         pts = np.vstack([blob_a, blob_b])
-        labels, _ = kmeans(pts, 2, seed=3)
+        labels, _ = kmeans(pts / np.linalg.norm(pts, axis=1, keepdims=True), 2, seed=3)
         assert len(set(labels[:25].tolist())) == 1
         assert len(set(labels[25:].tolist())) == 1
         assert labels[0] != labels[-1]
 
     def test_k_equals_n(self):
-        rng = np.random.default_rng(41)
-        pts = rng.standard_normal((6, 2))
+        pts = unit_rows(np.random.default_rng(41), 6, 2)
         _, inertia = kmeans(pts, 6, seed=0)
         assert inertia == pytest.approx(0.0, abs=1e-12)
 
@@ -476,24 +473,32 @@ class TestKmeans:
             [[1.0, 0.0], [0.999, 0.04], [0.0, 1.0], [0.03, 0.999], [1.0, 0.01], [0.0, 0.98]]
         )
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        labels, _ = kmeans(pts, 2, metric="angular", seed=0)
+        labels, _ = kmeans(pts, 2, seed=0)
         assert labels[0] == labels[1] == labels[4]
         assert labels[2] == labels[3] == labels[5]
         assert labels[0] != labels[2]
 
     def test_deterministic(self):
-        rng = np.random.default_rng(42)
-        pts = rng.standard_normal((40, 3))
+        pts = unit_rows(np.random.default_rng(42), 40, 3)
         first = kmeans(pts, 4, seed=7)
         second = kmeans(pts, 4, seed=7)
         assert np.array_equal(first[0], second[0])
         assert first[1] == second[1]
 
+    @pytest.mark.parametrize("rows, k", [
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], 3),
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0]], 4),
+        ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], 4),
+    ])
+    def test_reseed_never_empties_another_cluster(self, rows, k):
+        # An empty cluster must not take the only member of another one.
+        for seed in range(4):
+            labels, _ = kmeans(np.array(rows), k, seed=seed)
+            assert np.array_equal(np.unique(labels), np.arange(k)), seed
+
     def test_validation(self):
         with pytest.raises(ValueError):
             kmeans(np.ones((3, 2)), 4)
-        with pytest.raises(ValueError):
-            kmeans(np.ones((3, 2)), 2, metric="cosine")
 
 
 class TestSpectralCluster:
@@ -523,7 +528,7 @@ class TestSpectralCluster:
         spec = KernelSpec(gaussian(1.0), SIGN)
         gram_a = build_gram(data, spec)
         gram_b = build_gram(data * flips, spec)
-        assert np.max(np.abs(gram_a.values - gram_b.values)) <= 1e-10
+        assert np.max(np.abs(gram_a - gram_b)) <= 1e-10
         res_a = cluster_gram(gram_a, 2, seed=0)
         res_b = cluster_gram(gram_b, 2, seed=0)
         assert np.array_equal(res_a.labels, res_b.labels)
