@@ -227,13 +227,26 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy):
             sxx, sxy, syy = transform_triples(part, sxx, sxy, syy)
         return sxx, sxy, syy
     if spec.kind == "rotation":
-        return sxx**spec.m, sxy**spec.m, syy**spec.m
+        return tuple(_power(t, spec.m) for t in (sxx, sxy, syy))
     if spec.kind == "phase":
         return sxx**2, np.real(sxy * np.conj(sxy)), syy**2
     denom = np.asarray(sxx, dtype=float) * np.asarray(syy, dtype=float)
     if spec.kind == "scale":
         return 1.0, sxy / np.sqrt(denom), 1.0
     return 1.0, np.real(sxy * np.conj(sxy)) / denom, 1.0
+
+
+def _power(value, m: int):
+    # value**m by binary powering: m = 2 is value * value, exactly as ** squares,
+    # and m = 3 is value * (value * value).  Products are faster than a complex **.
+    result = None
+    while True:
+        if m & 1:
+            result = value if result is None else result * value
+        m >>= 1
+        if not m:
+            return result
+        value = value * value
 
 
 def _check_field(spec: Invariance | None, complex_data: bool) -> None:
@@ -243,15 +256,15 @@ def _check_field(spec: Invariance | None, complex_data: bool) -> None:
 
 
 def _triple_field(points, spec: Invariance | None, ids):
-    # S = P @ P^H and the norms Re diag(S) over the last two axes of a
-    # stack of point sets; ids, shaped like the norms, name points in errors.
+    # The points, promoted to at least float64, and their norms sum |x|^2 over
+    # the last axis, for a point array or a stack of point sets; ids, shaped
+    # like the norms, name points in errors.
     points = np.asarray(points)
     points = points.astype(np.promote_types(points.dtype, np.float64), copy=False)
     _check_field(spec, np.iscomplexobj(points))
     # Overflow and NaN are reported as a NumericalError by _rewrite, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
-        inner = points @ np.swapaxes(points.conj(), -1, -2)
-    norms = np.real(np.diagonal(inner, axis1=-2, axis2=-1))
+        norms = np.real(np.einsum("...i,...i->...", points, points.conj()))
     if any(p.kind in ("scale", "proj") for p in _flatten(spec)):
         zero = norms == 0.0
         if np.any(zero):
@@ -259,7 +272,7 @@ def _triple_field(points, spec: Invariance | None, ids):
                 f"point {int(ids[zero][0])} has zero norm; "
                 f"{format_invariance(spec)} invariance is undefined there"
             )
-    return inner, norms
+    return points, norms
 
 
 def _pair_name(rows, cols, shape, index) -> str:
@@ -271,8 +284,8 @@ def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols):
     # transform_triples; errors name pairs by the ids in rows and cols (broadcast).
     with np.errstate(over="ignore", invalid="ignore"):
         triple = transform_triples(spec, sxx, sxy, syy)
-    finite = np.isfinite(triple[0]) & np.isfinite(triple[1]) & np.isfinite(triple[2])
-    if not np.all(finite):
+    if not all(np.isfinite(t).all() for t in triple):
+        finite = np.isfinite(triple[0]) & np.isfinite(triple[1]) & np.isfinite(triple[2])
         pair = _pair_name(rows, cols, finite.shape, np.argmin(finite))
         raise NumericalError(
             f"non-finite kernel triple at pair {pair}; "
@@ -284,29 +297,45 @@ def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols):
 def triple_tiles(points, spec: Invariance | None):
     """Row tiles of the upper triangle of a 2-D point array's triple field.
 
-    Entry (i, j) is (<x_i,x_i>, <x_i,x_j>, <x_j,x_j>), read from S = X @ X^H
-    with the norms taken from Re diag(S), which keeps RBF diagonals
-    exactly 1.  Yields ``(start, (sxx, sxy, syy))`` for rows
+    Entry (i, j) is (<x_i,x_i>, <x_i,x_j>, <x_j,x_j>).  Each tile forms its
+    own product X[rows] @ X[start:]^H, so no N x N temporary is built.  The
+    norms are the row-wise sums of |x|^2, taken once and also written into
+    the diagonal of each diagonal block, so d^2(i, i) = 0 and RBF diagonals
+    stay exactly 1.  Yields ``(start, (sxx, sxy, syy))`` for rows
     start:start+TILE_ROWS and columns start:N, rewritten by
     :func:`transform_triples`; the components broadcast to one shape.
     """
-    inner, norms = _triple_field(points, spec, np.arange(len(points)))
-    n = len(inner)
-    for start in range(0, n, TILE_ROWS):
-        rows = slice(start, min(start + TILE_ROWS, n))
-        sxx, sxy, syy = norms[rows, None], inner[rows, start:], norms[None, start:]
-        yield start, _rewrite(spec, sxx, sxy, syy, *np.ogrid[rows, start:n])
+    points, norms = _triple_field(points, spec, np.arange(len(points)))
+    adjoint = points.conj().T
+    for start in range(0, len(points), TILE_ROWS):
+        yield start, _tile_triple(spec, points, adjoint, norms, start)
+
+
+def _tile_triple(spec: Invariance | None, points, adjoint, norms, start):
+    # Rows start:start+TILE_ROWS of the rewritten triple field, columns start:N.
+    # Kept out of triple_tiles so that no raw tile outlives its rewrite.
+    n = len(points)
+    stop = min(start + TILE_ROWS, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxy = points[start:stop] @ adjoint[:, start:]
+    np.fill_diagonal(sxy, norms[start:stop])
+    sxx, syy = norms[start:stop, None], norms[None, start:]
+    return _rewrite(spec, sxx, sxy, syy, *np.ogrid[start:stop, start:n])
 
 
 def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
     # Rewritten triples of the pairs (xs[k], ys[k]), named rows[k] and cols[k] in
     # errors: entry (0, 1) of the field of each [xs[k]; ys[k]], as length-n arrays.
-    # Each 2x2 field is the BLAS product of a two-point Gram; a row-wise sum rounds otherwise.
     xs, ys = np.asarray(xs), np.asarray(ys)
     if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] < 1:
         raise DimensionError(f"incompatible shapes {xs.shape[1:]} and {ys.shape[1:]}")
     ids = np.stack([rows, cols], axis=1)
-    inner, norms = _triple_field(np.stack([xs, ys], axis=1), spec, ids)
+    points, _ = _triple_field(np.stack([xs, ys], axis=1), spec, ids)
+    # Each 2x2 field is the BLAS product of a two-point Gram, norms included:
+    # single evaluations keep their bits, which a row-wise sum would round otherwise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = points @ np.swapaxes(points.conj(), -1, -2)
+    norms = np.real(np.diagonal(inner, axis1=-2, axis2=-1))
     triple = _rewrite(
         spec, norms[:, :, None], inner, norms[:, None, :], ids[:, :, None], ids[:, None, :]
     )
@@ -357,14 +386,16 @@ def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
     raises NumericalError naming the pair.
     """
     n = len(points)
-    gram = np.zeros((n, n))
+    gram = np.empty((n, n))
     for start, triple in triple_tiles(points, spec.invariance):
         stop = min(start + TILE_ROWS, n)
         values = _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n])
-        gram[start:stop, start:] = np.triu(values)
-        # Rows below this tile are still zero in these columns, so adding
-        # the transposed strict upper triangle mirrors it exactly.
-        gram[start:, start:stop] += np.triu(values, 1).T
+        # Copies only: the lower triangle is the upper one's exact transpose.
+        width = stop - start
+        block, beyond = values[:, :width], values[:, width:]
+        gram[start:stop, start:stop] = np.where(np.tri(width, k=-1, dtype=bool), block.T, block)
+        gram[start:stop, stop:] = beyond
+        gram[stop:, start:stop] = beyond.T
     return gram
 
 
@@ -498,16 +529,31 @@ def median_heuristic_sigma(points, invariance: Invariance | None = None) -> floa
     """Median pairwise distance in the (possibly invariant) feature geometry.
 
     Distances are read off the triple as sqrt(i(x,x) - 2 Re i(x,y) + i(y,y)),
-    so no explicit quotient features are formed.
+    so no explicit quotient features are formed.  The N(N-1)/2 squared
+    distances fill one buffer, tile by tile, and the median is selected by
+    partitioning it; sqrt is monotone and correctly rounded, so this equals
+    the median of the distances themselves bit for bit.
     """
     pts = np.asarray(getattr(points, "points", points))
-    if len(pts) < 2:
+    n = len(pts)
+    if n < 2:
         raise ValidationError("median heuristic needs at least two points")
-    distances = []
+    squared = np.empty(n * (n - 1) // 2)
+    filled = 0
     for _, triple in triple_tiles(pts, invariance):
         d2 = squared_distance(*triple)
-        distances.append(np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]))
-    return max(float(np.median(np.concatenate(distances))), 1e-12)
+        # Row r of a tile starts at the diagonal, so its strict upper part is d2[r, r + 1:].
+        for r in range(len(d2)):
+            count = d2.shape[1] - r - 1
+            squared[filled : filled + count] = d2[r, r + 1 :]
+            filled += count
+        # Freed before the next tile is built, so the buffer stays the only N^2 array.
+        del triple, d2
+    # The two middle entries, one and the same for an odd count, where (a + a) / 2 is a.
+    lower, upper = (len(squared) - 1) // 2, len(squared) // 2
+    squared.partition([lower, upper])
+    median = (math.sqrt(squared[lower]) + math.sqrt(squared[upper])) / 2.0
+    return max(median, 1e-12)
 
 
 # ---------------------------------------------------------------------------

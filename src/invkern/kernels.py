@@ -92,16 +92,17 @@ def squared_distance(sxx, sxy, syy):
     syy = np.asarray(syy, dtype=float)
     # (sxx + syy) first: keeps the value exactly symmetric in x and y
     d2 = (sxx + syy) - 2.0 * np.real(np.asarray(sxy))
-    tol = 1e-9 * np.maximum(np.maximum(sxx, syy), 1.0)
-    bad = d2 < -tol
-    if np.any(bad):
-        index = int(np.argmax(bad))
-        value = float(np.ravel(d2)[index])
-        raise NegativeDistanceError(
-            f"squared distance {value} is negative beyond tolerance; "
-            "the triple does not come from an inner product",
-            index=index,
-        )
+    # The tolerance is positive, so only a negative d2 can fall below it.
+    if np.any(d2 < 0.0):
+        bad = d2 < -1e-9 * np.maximum(np.maximum(sxx, syy), 1.0)
+        if np.any(bad):
+            index = int(np.argmax(bad))
+            value = float(np.ravel(d2)[index])
+            raise NegativeDistanceError(
+                f"squared distance {value} is negative beyond tolerance; "
+                "the triple does not come from an inner product",
+                index=index,
+            )
     return np.maximum(d2, 0.0)
 
 
@@ -119,6 +120,7 @@ def base_values(spec: BaseKernel, sxx, sxy, syy):
     if spec.family == "polyhom":
         return np.asarray(s ** spec.degree, dtype=float)
     d2 = squared_distance(sxx, s, syy)
+    # a / -c is -a / c exactly, with one pass less over the values.
     if spec.family == "gaussian":
-        return np.exp(-d2 / (2.0 * spec.sigma**2))
-    return np.exp(-np.sqrt(d2) / spec.sigma)
+        return np.exp(d2 / -(2.0 * spec.sigma**2))
+    return np.exp(np.sqrt(d2) / -spec.sigma)

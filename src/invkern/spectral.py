@@ -221,7 +221,7 @@ def _seed_centers(points, k, rng):
 
 def _lloyd(points, centers):
     n, k = len(points), len(centers)
-    previous = None
+    previous = before = None
     labels = np.zeros(n, dtype=int)
     inertia = 0.0
     for _ in range(_KMEANS_MAX_ITER):
@@ -237,9 +237,11 @@ def _lloyd(points, centers):
             labels[idx] = c
             own[idx] = -np.inf
         inertia = float(np.maximum(dist[np.arange(n), labels], 0.0).sum())
-        if previous is not None and np.array_equal(labels, previous):
+        # Near-duplicate rows split across clusters can make the labels
+        # alternate between two vectors; that cycle is a fixed point too.
+        if any(seen is not None and np.array_equal(labels, seen) for seen in (previous, before)):
             break
-        previous = labels
+        before, previous = previous, labels
         for c in range(k):
             center = points[labels == c].mean(axis=0)
             norm = np.linalg.norm(center)

@@ -9,7 +9,8 @@ import numpy as np
 
 from invkern import ScalarTriple
 from invkern.errors import DimensionError
-from invkern.kernels import base_values
+from invkern.invariance import triple_tiles
+from invkern.kernels import base_values, squared_distance
 
 
 def inner_product(x, y):
@@ -39,3 +40,16 @@ def make_triple(x, y) -> ScalarTriple:
 def eval_base(spec, triple: ScalarTriple) -> float:
     """Evaluate one base kernel on a scalar-product triple."""
     return float(base_values(spec, triple.sxx, triple.sxy, triple.syy))
+
+
+def median_distance(points, invariance=None) -> float:
+    """Median pairwise distance, from np.median over every distance at once.
+
+    The direct definition the package's median heuristic, which selects
+    from a buffer of squared distances, must equal bit for bit.
+    """
+    distances = []
+    for _, triple in triple_tiles(np.asarray(points), invariance):
+        d2 = squared_distance(*triple)
+        distances.append(np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]))
+    return max(float(np.median(np.concatenate(distances))), 1e-12)

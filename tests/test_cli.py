@@ -302,6 +302,33 @@ class TestCluster:
         assert sorted({line.split(",")[1] for line in labels}) == ["0", "1", "2", "3"]
         assert json.loads((out_dir / "metrics.json").read_text())["degenerate"] is False
 
+    def test_duplicate_rows_converge(self, capsys, tmp_path, monkeypatch):
+        # Splitting duplicates moves a point back and forth between
+        # near-identical embedding rows, so the labels alternate; that cycle
+        # must end each restart.  Ten restarts that all ran to the iteration
+        # cap made 10 * (3 + 300) calls.
+        import invkern.spectral as spectral
+
+        calls = []
+        original = spectral._pairwise_distance
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(spectral, "_pairwise_distance", counting)
+        csv_path = tmp_path / "dup.csv"
+        csv_path.write_text("0.36,1.30\n" * 3 + "0.10,-0.53\n" * 3)
+        out_dir = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "cluster", "--input", str(csv_path), "--k", "4", "--sigma", "1",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        assert len(calls) <= 100
+        labels = (out_dir / "labels.csv").read_text().strip().split("\n")[1:]
+        assert sorted({line.split(",")[1] for line in labels}) == ["0", "1", "2", "3"]
+
     def test_k_above_point_count_is_usage_error(self, capsys, tmp_path):
         csv_path = tmp_path / "three.csv"
         csv_path.write_text("1,2\n3,4\n5,7\n")

@@ -1,5 +1,6 @@
 """Invariance, invariant inner kernels, and combined-kernel tests."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,7 +37,9 @@ from invkern import (
     rotation,
     sample_group_element,
 )
+from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_select
 from invkern.errors import FieldError, OracleSizeError, ParseError, ZeroVectorError
+from oracles import median_distance
 
 
 def complex_points(rng, n_points, dim, scale=1.0):
@@ -496,6 +499,49 @@ class TestMedianHeuristic:
         assert median_heuristic_sigma(pts, SIGN) == pytest.approx(
             median_heuristic_sigma(flipped, SIGN), abs=1e-12
         )
+
+    def test_equals_the_median_of_all_distances_bit_for_bit(self):
+        cases = []
+        for seed in range(4):
+            xor = gen_xor(50, 0.15, seed=seed).points
+            blobs = gen_flipped_blobs(49, 256, flip_prob=0.5, seed=seed).points
+            lines = top_norm_select(gen_directions(6, 400, seed=seed)[0], 270).points
+            cases += [(xor, SIGN), (xor, None), (blobs, SIGN), (blobs, None), (lines, PROJ)]
+        rng = np.random.default_rng(25)
+        # Integer grids tie many distances; the counts cross tile edges and both parities.
+        for n in (2, 3, 4, 5, 17, 127, 128, 129, 130, 256, 257, 300):
+            grid = rng.integers(-3, 4, size=(n, 2)).astype(float)
+            cases += [(grid, None), (grid, SIGN)]
+        cases.append((complex_points(rng, 140, 3), PHASE))
+        cases.append((complex_points(rng, 131, 2), rotation(3)))
+        for pts, inv in cases:
+            assert median_heuristic_sigma(pts, inv) == median_distance(pts, inv), (len(pts), inv)
+
+
+class TestFlatMemory:
+    # The Gram, or the median's buffer of squared distances, is the only
+    # N x N array: the tile temporaries are O(TILE_ROWS * N).
+    N = 2000
+
+    @staticmethod
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("inv", [None, SIGN, PROJ], ids=["plain", "sign", "proj"])
+    def test_kernel_matrix_and_median_stay_flat(self, inv):
+        from invkern import kernel_matrix
+
+        n = self.N
+        pts = np.random.default_rng(26).standard_normal((n, 2))
+        spec = KernelSpec(gaussian(1.0), inv)
+        assert self.peak_bytes(lambda: kernel_matrix(pts, spec)) < 1.5 * n * n * 8
+        pairs = n * (n - 1) // 2
+        assert self.peak_bytes(lambda: median_heuristic_sigma(pts, inv)) < 1.5 * pairs * 8
 
 
 class TestKernelTriple:
