@@ -39,7 +39,7 @@ from .invariance import (
     parse_invariance,
     triple_value,
 )
-from .kernels import BaseKernel
+from .kernels import FAMILIES, BaseKernel
 from .spectral import build_gram, check_psd, cluster_gram, clustering_accuracy
 
 EXIT_OK = 0
@@ -52,27 +52,22 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _build_spec(args, points=None) -> KernelSpec:
-    """Kernel spec from flags; unspecified RBF sigma falls back to the
-    median pairwise distance in the invariant feature geometry when data
-    is available."""
+    """Kernel spec from flags.  An RBF family takes --sigma, or without it
+    the median pairwise distance in the invariant feature geometry, which
+    needs data."""
     inv_text = args.inv
-    if inv_text and getattr(args, "m", None):
+    if inv_text and args.m:
         # --m fills in the order of any bare "rot" token
         inv_text = re.sub(r"\brot\b(?!:)", f"rot:{args.m}", inv_text, flags=re.IGNORECASE)
     invariance = parse_invariance(inv_text) if inv_text else None
-    family = args.kernel
-    if family in ("poly", "polyhom"):
-        base = BaseKernel(family, degree=args.degree)
-    elif family in ("gaussian", "laplace"):
-        sigma = args.sigma
-        if sigma is None:
-            if points is None:
-                raise ParseError(f"--sigma is required for the {family} kernel")
-            sigma = median_heuristic_sigma(points, invariance)
-        base = BaseKernel(family, sigma=sigma)
-    else:
-        base = BaseKernel("linear")
-    return KernelSpec(base, invariance)
+    family, sigma = args.kernel, args.sigma
+    if FAMILIES[family] != "sigma":
+        return KernelSpec(BaseKernel(family, degree=args.degree), invariance)
+    if sigma is None:
+        if points is None:
+            raise ParseError(f"--sigma is required for the {family} kernel")
+        sigma = median_heuristic_sigma(points, invariance)
+    return KernelSpec(BaseKernel(family, sigma=sigma), invariance)
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -192,7 +187,7 @@ def _cluster_metrics(result, spec, data) -> dict:
         "entropy_captured": sum(selected) / total if total != 0.0 else None,
         "degenerate": result.degenerate,
     }
-    if spec.base.family in ("gaussian", "laplace"):
+    if FAMILIES[spec.base.family] == "sigma":
         metrics["sigma"] = spec.base.sigma
     if data.labels is not None:
         metrics["accuracy"] = clustering_accuracy(result.labels, data.labels)
@@ -240,29 +235,30 @@ def _experiment_setup(args):
         raise ParseError(f"{flag} applies to the digits preset only, not {args.name}")
     if args.labeled and not args.input:
         raise ParseError("--labeled needs --input: the generated digits data has its own labels")
-    seed = args.seed
+    # Each preset names its data, its invariance, the default bandwidth of
+    # each arm (invariant, then baseline) and its k.
+    directions = None
     if args.name == "xor":
-        data = gen_xor(50, 0.15, seed=seed)
-        sigma_inv = args.sigma or preset_bandwidth(data.points, SIGN)
-        sigma_base = args.sigma or preset_bandwidth(data.points, None)
-        spec_inv = KernelSpec(BaseKernel("gaussian", sigma=sigma_inv), SIGN)
-        spec_base = KernelSpec(BaseKernel("gaussian", sigma=sigma_base))
-        return data, spec_inv, spec_base, 2, None
-    if args.name == "digits":
+        data = gen_xor(50, 0.15, seed=args.seed)
+        invariance, k = SIGN, 2
+        defaults = [preset_bandwidth(data.points, arm) for arm in (SIGN, None)]
+    elif args.name == "digits":
         if args.input:
             data = load_csv(args.input, has_labels=args.labeled)
         else:
-            data = gen_flipped_blobs(49, 256, flip_prob=0.5, seed=seed)
-        sigma = args.sigma or 22.0
-        spec_inv = KernelSpec(BaseKernel("gaussian", sigma=sigma), SIGN)
-        spec_base = KernelSpec(BaseKernel("gaussian", sigma=sigma))
-        return data, spec_inv, spec_base, 2, None
-    raw, directions = gen_directions(6, 400, seed=seed)
-    data = top_norm_select(raw, 270)
-    sigma = args.sigma or 0.1
-    spec_inv = KernelSpec(BaseKernel("gaussian", sigma=sigma), PROJ)
-    spec_base = KernelSpec(BaseKernel("gaussian", sigma=sigma))
-    return data, spec_inv, spec_base, 6, directions
+            data = gen_flipped_blobs(49, 256, flip_prob=0.5, seed=args.seed)
+        invariance, k, defaults = SIGN, 2, [22.0, 22.0]
+    else:
+        raw, directions = gen_directions(6, 400, seed=args.seed)
+        data = top_norm_select(raw, 270)
+        invariance, k, defaults = PROJ, 6, [0.1, 0.1]
+    # One rule for both arms: --sigma when given, else the preset's defaults.
+    sigmas = defaults if args.sigma is None else [args.sigma, args.sigma]
+    spec_inv, spec_base = (
+        KernelSpec(BaseKernel("gaussian", sigma=sigma), arm)
+        for arm, sigma in zip((invariance, None), sigmas)
+    )
+    return data, spec_inv, spec_base, k, directions
 
 
 def cmd_experiment(args) -> int:
@@ -284,9 +280,9 @@ def cmd_experiment(args) -> int:
         "invariant": _cluster_metrics(result_inv, spec_inv, data),
         "baseline": _cluster_metrics(result_base, spec_base, data),
     }
-    inv_acc = metrics["invariant"].get("accuracy")
-    base_acc = metrics["baseline"].get("accuracy")
-    if inv_acc is not None and base_acc is not None:
+    labeled = data.labels is not None
+    if labeled:
+        inv_acc, base_acc = (metrics[arm]["accuracy"] for arm in ("invariant", "baseline"))
         metrics["accuracy_gap"] = inv_acc - base_acc
     if directions is not None:
         estimate = estimate_mixing(data, result_inv.labels, true_directions=directions)
@@ -304,7 +300,7 @@ def cmd_experiment(args) -> int:
         _write_heatmap(gram_inv, result_inv.labels, out / "heatmap_invariant.svg")
         _write_scatter(data.points, result_inv, out / "scatter_invariant.svg")
 
-    if inv_acc is not None and base_acc is not None:
+    if labeled:
         print(f"experiment {args.name}: invariant accuracy {inv_acc:.4f}, "
               f"baseline accuracy {base_acc:.4f}, gap {inv_acc - base_acc:+.4f}")
     else:
@@ -322,7 +318,7 @@ def _seed(text: str) -> int:
 def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
-        choices=("linear", "gaussian", "laplace", "poly", "polyhom"),
+        choices=tuple(FAMILIES),
         default="gaussian",
         help="base kernel family (default: gaussian)",
     )

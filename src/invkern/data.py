@@ -109,27 +109,22 @@ def gen_flipped_blobs(
 def gen_directions(
     k: int,
     n_points: int,
-    angle_offset_deg: float = 10.0,
-    scale_law=("lognormal", 0.0, 0.75),
     noise: float = 0.02,
     seed: int = 0,
 ):
     """2-D points scattered along k equally spaced lines through the origin.
 
     Each point is eps * r * d_c + eta with a uniform cluster c, random
-    sign eps, radius r from ``scale_law`` (only ("lognormal", mu, sigma)
-    is supported), and isotropic jitter of scale ``noise``.  Returns
-    (dataset, directions): the ground-truth unit directions, spaced
-    180/k degrees apart, sign-canonical (first nonzero coordinate
-    positive).
+    sign eps, lognormal radius r (mu 0, sigma 0.75), and isotropic jitter
+    of scale ``noise``.  Returns (dataset, directions): the ground-truth
+    unit directions, 10 degrees plus multiples of 180/k degrees,
+    sign-canonical (first nonzero coordinate positive).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if n_points < k:
         raise ValueError("n_points must be at least k")
-    law, mu, s = scale_law
-    if law != "lognormal":
-        raise ValueError(f"unsupported scale law {law!r}")
+    angle_offset_deg, mu, s = 10.0, 0.0, 0.75
     rng = np.random.default_rng(seed)
     angles = np.radians(angle_offset_deg + 180.0 * np.arange(k) / k)
     directions = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -144,7 +139,7 @@ def gen_directions(
         "k": k,
         "n_points": n_points,
         "angle_offset_deg": angle_offset_deg,
-        "scale_law": list(scale_law),
+        "scale_law": ["lognormal", mu, s],
         "noise": noise,
         "seed": seed,
         "directions": directions.tolist(),

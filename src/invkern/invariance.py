@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .kernels import BaseKernel, ScalarTriple, base_values, squared_distance
+from .kernels import FAMILIES, BaseKernel, ScalarTriple, base_values, squared_distance
 
 KINDS = ("rotation", "phase", "scale", "proj", "chain")
 
@@ -140,13 +140,11 @@ class KernelSpec:
 
 def kernel_label(spec: KernelSpec) -> str:
     """Canonical one-line description, e.g. ``gaussian(sigma=22)+sign``."""
-    base = spec.base
-    if base.family in ("gaussian", "laplace"):
-        text = f"{base.family}(sigma={base.sigma:g})"
-    elif base.family in ("poly", "polyhom"):
-        text = f"{base.family}(degree={base.degree})"
-    else:
-        text = "linear"
+    base, reads = spec.base, FAMILIES[spec.base.family]
+    text = base.family
+    if reads is not None:
+        value = getattr(base, reads)
+        text += f"({reads}={value:g})" if reads == "sigma" else f"({reads}={value})"
     if spec.invariance is not None:
         text += "+" + format_invariance(spec.invariance)
     return text
@@ -336,6 +334,9 @@ def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
     with np.errstate(over="ignore", invalid="ignore"):
         inner = points @ np.swapaxes(points.conj(), -1, -2)
     norms = np.real(np.diagonal(inner, axis1=-2, axis2=-1))
+    # The whole 2x2 field is rewritten, not entry (0, 1) alone: a norm that
+    # overflows can rewrite to a finite <x,y> (scale: 1e160 / inf = 0.0), and
+    # only the diagonal entries then show it.
     triple = _rewrite(
         spec, norms[:, :, None], inner, norms[:, None, :], ids[:, :, None], ids[:, None, :]
     )
@@ -411,8 +412,10 @@ def triple_value(base: BaseKernel, triple: ScalarTriple) -> float:
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """Evaluate the (optionally invariant) kernel on a pair of points.
 
-    Raises NumericalError naming pair (0, 1) when k(x, y) is not finite;
-    k(x, x) and k(y, y) are not evaluated.
+    Raises NumericalError when k(x, y) is not finite, naming pair (0, 1),
+    and also when a rewritten triple of k(x, x) or k(y, y) is not, as when
+    a norm overflows, naming (0, 0) or (1, 1); only the base values of
+    k(x, x) and k(y, y) are skipped.
     """
     return triple_value(spec.base, kernel_triple(spec, x, y))
 

@@ -14,15 +14,17 @@ import numpy as np
 
 from .errors import NegativeDistanceError, ValidationError
 
-FAMILIES = ("linear", "gaussian", "laplace", "poly", "polyhom")
+# Each kernel family and the one parameter it reads, if any.
+FAMILIES = {"linear": None, "gaussian": "sigma", "laplace": "sigma",
+            "poly": "degree", "polyhom": "degree"}
 
 
 @dataclass(frozen=True)
 class BaseKernel:
     """One scalar-product-based kernel family with its parameters.
 
-    ``sigma`` is the bandwidth of the RBF families, ``degree`` the
-    exponent of the polynomial families; each is ignored by the others.
+    ``sigma`` is the RBF bandwidth, ``degree`` the polynomial exponent;
+    :data:`FAMILIES` names the one each family reads and the others ignore.
     """
 
     family: str
@@ -32,14 +34,15 @@ class BaseKernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown kernel family {self.family!r}")
+        reads = FAMILIES[self.family]
         # 2 sigma^2 by products: sigma**2 raises OverflowError on a large float.
-        if self.family in ("gaussian", "laplace") and not (
+        if reads == "sigma" and not (
             self.sigma > 0 and 0.0 < 2.0 * self.sigma * self.sigma < np.inf
         ):
             raise ValidationError(
                 f"sigma must be positive with 2 sigma^2 in (0, inf), got {self.sigma}"
             )
-        if self.family in ("poly", "polyhom") and self.degree < 1:
+        if reads == "degree" and self.degree < 1:
             raise ValidationError(f"degree must be at least 1, got {self.degree}")
 
 

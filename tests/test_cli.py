@@ -75,6 +75,17 @@ class TestEval:
         assert out == ""
         assert "pair (0, 1)" in err
 
+    @pytest.mark.parametrize("kernel", [["linear"], ["gaussian", "--sigma", "1"]])
+    @pytest.mark.parametrize("inv", ["scale", "chain(scale,sign)"])
+    def test_overflowing_norm_exits_3(self, capsys, kernel, inv):
+        # |y|^2 = 1e320 overflows; the rewritten <x,y> alone would be a finite 0.0
+        code, out, err = run(
+            capsys, "eval", "--kernel", *kernel, "--inv", inv, "--x", "1,1", "--y", "1e160,0",
+        )
+        assert code == 3
+        assert out == ""
+        assert "pair (1, 1)" in err
+
     def test_non_finite_vector_exits_2(self, capsys):
         code, out, err = run(
             capsys, "eval", "--sigma", "1", "--x", "1,nan", "--y", "3,4",
@@ -413,6 +424,16 @@ class TestExperimentFlags:
         assert code == 2
         assert flags[0] in err and "digits preset only" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["xor", "digits", "flutes"])
+    def test_zero_sigma_exits_2_without_output(self, capsys, tmp_path, name):
+        # --sigma 0 is a bandwidth like any other, not a request for the default.
+        out_dir = tmp_path / name
+        code, out, err = run(capsys, "exp", name, "--sigma", "0", "--out", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert "sigma must be positive" in err
+        assert not out_dir.exists()
 
     def test_digits_labeled_needs_input(self, capsys, tmp_path):
         code, _, err = run(capsys, "exp", "digits", "--labeled", "--out", str(tmp_path / "d"))

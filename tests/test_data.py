@@ -133,10 +133,6 @@ class TestGenDirections:
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(da, db)
 
-    def test_scale_law_validation(self):
-        with pytest.raises(ValueError):
-            gen_directions(6, 50, scale_law=("pareto", 1.0, 1.0))
-
 
 class TestLoadCsv(object):
     def write(self, tmp_path, text, name="data.csv"):

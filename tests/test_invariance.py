@@ -477,6 +477,13 @@ class TestGrammar:
         assert kernel_label(KernelSpec(poly(3))) == "poly(degree=3)"
         assert kernel_label(KernelSpec(linear(), PROJ)) == "linear+proj"
 
+    def test_kernel_label_prints_the_parameter_each_family_reads(self):
+        # sigma as :g, degree as an int, however large.
+        assert kernel_label(KernelSpec(laplace(1e-7))) == "laplace(sigma=1e-07)"
+        assert kernel_label(KernelSpec(gaussian(1234567.0))) == "gaussian(sigma=1.23457e+06)"
+        assert kernel_label(KernelSpec(polyhom(1234567), SCALE)) == "polyhom(degree=1234567)+scale"
+        assert kernel_label(KernelSpec(linear())) == "linear"
+
 
 class TestMedianHeuristic:
     def test_matches_brute_force_feature_distances(self):
@@ -598,6 +605,36 @@ class TestKernelValueChecks:
         samples = np.array([[0.1, 0.1], [0.2, 0.1], [10.0, 10.0]])
         with pytest.raises(NumericalError, match=r"pair \(2, 2\)"):
             check_invariance(KernelSpec(poly(400)), samples, seed=0, group=SIGN)
+
+    # <x,x> is fine but <y,y> = 1e320 overflows.  Entry (0, 1) alone would
+    # rewrite to a finite 1e160 / inf = 0.0 (linear) or exp(-1) (Gaussian);
+    # the true scale-invariant inner product is 1/sqrt(2).  The overflow
+    # shows only in the rewritten diagonal entry (1, 1).
+    HUGE_PAIR = np.array([[1.0, 1.0], [1e160, 0.0]])
+    OVERFLOW_SPECS = [
+        KernelSpec(base, inv)
+        for base in (linear(), gaussian(1.0))
+        for inv in (SCALE, chain(SCALE, SIGN))
+    ]
+
+    @pytest.mark.parametrize("spec", OVERFLOW_SPECS, ids=kernel_label)
+    def test_overflowing_norm_raises_in_eval_kernel_and_kernel_matrix(self, spec):
+        from invkern import kernel_matrix
+        from invkern.errors import NumericalError
+
+        with pytest.raises(NumericalError, match=r"pair \(1, 1\)"):
+            eval_kernel(spec, *self.HUGE_PAIR)
+        with pytest.raises(NumericalError, match=r"pair \(1, 1\)"):
+            kernel_matrix(self.HUGE_PAIR, spec)
+
+    @pytest.mark.parametrize("spec", OVERFLOW_SPECS, ids=kernel_label)
+    def test_overflowing_norm_raises_in_check_invariance(self, spec):
+        from invkern.errors import NumericalError
+
+        # Seed 1 draws the one pair (0, 1): the huge row against the other.
+        assert list(np.random.default_rng(1).integers(2, size=2)) == [0, 1]
+        with pytest.raises(NumericalError, match=r"pair \(1, 1\)"):
+            check_invariance(spec, self.HUGE_PAIR, n_group_samples=1, seed=1)
 
     def test_check_invariance_argument_errors_are_typed(self):
         from invkern.errors import ValidationError

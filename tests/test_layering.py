@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import invkern
+from invkern.kernels import FAMILIES
 
 PACKAGE = Path(invkern.__file__).parent
 
@@ -105,4 +106,39 @@ def test_no_function_takes_a_metric_parameter():
                 names += [a for a in (args.vararg, args.kwarg) if a is not None]
                 if any(a.arg == "metric" for a in names):
                     offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def family_groups(path: Path) -> list:
+    """Tuple, list, set and dict literals holding two or more family names."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            items = node.elts
+        elif isinstance(node, ast.Dict):
+            items = node.keys + node.values
+        else:
+            continue
+        names = [i.value for i in items if isinstance(i, ast.Constant) and i.value in FAMILIES]
+        if len(names) >= 2:
+            found.append(f"{path.name}:{node.lineno} {names}")
+    return found
+
+
+def test_only_kernels_groups_family_names():
+    # Which family reads which parameter is decided once, in kernels.FAMILIES.
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "kernels.py"]
+    assert [line for path in modules for line in family_groups(path)] == []
+
+
+def test_cli_has_no_sigma_fallback_by_or():
+    # `args.sigma or default` turns --sigma 0 into the default; the CLI
+    # tests `is None` instead, so 0 reaches BaseKernel and exits 2.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    offenders = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+        and any(ast.unparse(v) == "args.sigma" for v in node.values)
+    ]
     assert offenders == []
