@@ -209,7 +209,7 @@ def sample_group_element(spec: Invariance, rng, complex_field: bool):
 # Invariant inner kernels via triple rewriting
 
 
-def transform_triples(spec: Invariance | None, sxx, sxy, syy):
+def transform_triples(spec: Invariance | None, sxx, sxy, syy, out=None):
     """Rewrite triple components into the invariance's orbit geometry.
 
     Works elementwise on arrays; chains fold left to right, each stage
@@ -217,34 +217,61 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy):
     (``None``) leaves the triple as it is.  Scale and proj divide by
     sxx * syy, which :func:`_triple_field` keeps nonzero, and return the
     scalar diagonals 1.0, which broadcast against ``sxy``.
+
+    ``out``, if given, receives the rewritten ``sxy`` and may be ``sxy``
+    itself, so a Gram tile is rewritten in its own buffer; a real result
+    fills the real part of a complex ``out``.  The inputs are only read
+    otherwise.
     """
+    if out is not None and np.iscomplexobj(out) and not np.iscomplexobj(sxy):
+        out = out.real
     if spec is None:
+        if out is not None and out is not sxy:
+            np.copyto(out, sxy)
+            sxy = out
         return sxx, sxy, syy
     if spec.kind == "chain":
         for part in spec.parts:
-            sxx, sxy, syy = transform_triples(part, sxx, sxy, syy)
+            sxx, sxy, syy = transform_triples(part, sxx, sxy, syy, out)
         return sxx, sxy, syy
     if spec.kind == "rotation":
-        return tuple(_power(t, spec.m) for t in (sxx, sxy, syy))
+        return _power(sxx, spec.m), _power(sxy, spec.m, out), _power(syy, spec.m)
     if spec.kind == "phase":
-        return sxx**2, np.real(sxy * np.conj(sxy)), syy**2
-    denom = np.asarray(sxx, dtype=float) * np.asarray(syy, dtype=float)
+        return sxx**2, _squared_modulus(sxy, out), syy**2
+    denom = np.asarray(np.asarray(sxx, dtype=float) * np.asarray(syy, dtype=float))
     if spec.kind == "scale":
-        return 1.0, sxy / np.sqrt(denom), 1.0
-    return 1.0, np.real(sxy * np.conj(sxy)) / denom, 1.0
+        return 1.0, np.divide(sxy, np.sqrt(denom, out=denom), out=out), 1.0
+    square = _squared_modulus(sxy, out)
+    square /= denom  # in place: square is out, or a new array of the rewrite's own
+    return 1.0, square, 1.0
 
 
-def _power(value, m: int):
+def _power(value, m: int, out=None):
     # value**m by binary powering: m = 2 is value * value, exactly as ** squares,
     # and m = 3 is value * (value * value).  Products are faster than a complex **.
-    result = None
+    # The power goes to out, which may hold value; the squares go there too until
+    # the first factor of the power is taken, then to one temporary of their own.
+    result = spare = None
     while True:
         if m & 1:
-            result = value if result is None else result * value
+            result = value if result is None else np.multiply(result, value, out=out)
         m >>= 1
         if not m:
             return result
-        value = value * value
+        value = np.multiply(value, value, out=out if result is None else spare)
+        if result is not None and out is not None:
+            spare = value
+
+
+def _squared_modulus(sxy, out=None):
+    # |sxy|^2, into out (of sxy's dtype) if given.  Complex data keeps the real part
+    # of sxy * conj(sxy): numpy fuses that product's multiply-add, so re * re + im * im
+    # would round differently.  Real data squares without the conjugate copy.
+    if not np.iscomplexobj(sxy):
+        return np.multiply(sxy, sxy, out=out)
+    # Without out, numpy writes the product over the temporary conjugate.
+    product = sxy * np.conj(sxy) if out is None else np.multiply(sxy, np.conj(sxy), out=out)
+    return np.real(product)
 
 
 def _check_field(spec: Invariance | None, complex_data: bool) -> None:
@@ -278,10 +305,10 @@ def _pair_name(rows, cols, shape, index) -> str:
     return "({}, {})".format(*(int(np.broadcast_to(a, shape).flat[index]) for a in (rows, cols)))
 
 
-def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols):
+def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols, out=None):
     # transform_triples; errors name pairs by the ids in rows and cols (broadcast).
     with np.errstate(over="ignore", invalid="ignore"):
-        triple = transform_triples(spec, sxx, sxy, syy)
+        triple = transform_triples(spec, sxx, sxy, syy, out)
     if not all(np.isfinite(t).all() for t in triple):
         finite = np.isfinite(triple[0]) & np.isfinite(triple[1]) & np.isfinite(triple[2])
         pair = _pair_name(rows, cols, finite.shape, np.argmin(finite))
@@ -292,33 +319,63 @@ def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols):
     return triple
 
 
-def triple_tiles(points, spec: Invariance | None):
+def triple_tiles(points, spec: Invariance | None, gram=None):
     """Row tiles of the upper triangle of a 2-D point array's triple field.
 
     Entry (i, j) is (<x_i,x_i>, <x_i,x_j>, <x_j,x_j>).  Each tile forms its
     own product X[rows] @ X[start:]^H, so no N x N temporary is built.  The
     norms are the row-wise sums of |x|^2, taken once and also written into
     the diagonal of each diagonal block, so d^2(i, i) = 0 and RBF diagonals
-    stay exactly 1.  Yields ``(start, (sxx, sxy, syy))`` for rows
-    start:start+TILE_ROWS and columns start:N, rewritten by
-    :func:`transform_triples`; the components broadcast to one shape.
+    stay exactly 1.  Yields ``(start, stop, (sxx, sxy, syy))`` for rows
+    start:stop and columns start:N, rewritten by :func:`transform_triples`;
+    the components broadcast to one shape, and ``sxy`` (or its real part)
+    is the tile's own buffer, which the caller may overwrite.
+
+    With ``gram``, the N x N float array being filled, the product and its
+    rewrite go to the Gram's own memory at :func:`_gram_tile`, and the
+    next tile is built only when the caller asks for it.  A product of
+    another dtype than the Gram's, such as a complex one, goes to one
+    reused buffer of a real tile's bytes instead, so its tiles have fewer
+    rows.
     """
     points, norms = _triple_field(points, spec, np.arange(len(points)))
     adjoint = points.conj().T
-    for start in range(0, len(points), TILE_ROWS):
-        yield start, _tile_triple(spec, points, adjoint, norms, start)
+    n = len(points)
+    step, buffer = TILE_ROWS, None
+    if gram is not None and points.dtype != gram.dtype:
+        step = TILE_ROWS * gram.itemsize // points.itemsize
+        buffer = np.empty(step * n, points.dtype)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        out = None if gram is None else _gram_tile(gram, start, stop)
+        if buffer is not None:
+            out = buffer[: out.size].reshape(out.shape)
+        yield start, stop, _tile_triple(spec, points, adjoint, norms, start, stop, out)
 
 
-def _tile_triple(spec: Invariance | None, points, adjoint, norms, start):
-    # Rows start:start+TILE_ROWS of the rewritten triple field, columns start:N.
+def _gram_tile(gram, start, stop):
+    # Where the tile of rows start:stop, columns start:N of a Gram filled top down
+    # is built: contiguously in the rows below it, which hold no finished values
+    # yet, when they have room; else in its own rows, where elementwise passes
+    # take several times longer per value (numpy loops per row).
+    n = len(gram)
+    shape = (stop - start, n - start)
+    size = shape[0] * shape[1]
+    if (n - stop) * n < size:
+        return gram[start:stop, start:]
+    return gram.reshape(-1)[stop * n : stop * n + size].reshape(shape)
+
+
+def _tile_triple(spec: Invariance | None, points, adjoint, norms, start, stop, out=None):
+    # Rows start:stop of the rewritten triple field, columns start:N; with out,
+    # the product and its rewrite both go to out.
     # Kept out of triple_tiles so that no raw tile outlives its rewrite.
     n = len(points)
-    stop = min(start + TILE_ROWS, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        sxy = points[start:stop] @ adjoint[:, start:]
+        sxy = np.matmul(points[start:stop], adjoint[:, start:], out=out)
     np.fill_diagonal(sxy, norms[start:stop])
     sxx, syy = norms[start:stop, None], norms[None, start:]
-    return _rewrite(spec, sxx, sxy, syy, *np.ogrid[start:stop, start:n])
+    return _rewrite(spec, sxx, sxy, syy, *np.ogrid[start:stop, start:n], out=out)
 
 
 def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
@@ -357,12 +414,13 @@ def invariant_inner(spec: Invariance, x, y):
     return kernel_triple(KernelSpec(BaseKernel("linear"), spec), x, y).sxy
 
 
-def _checked_values(base: BaseKernel, triple, rows, cols) -> np.ndarray:
-    # Base-kernel values; errors name pairs by the ids in rows and cols (broadcast).
+def _checked_values(base: BaseKernel, triple, rows, cols, out=None) -> np.ndarray:
+    # Base-kernel values, into out if given; errors name pairs by the ids in rows
+    # and cols (broadcast).
     try:
         # Overflow and division by zero are reported as a NumericalError below, not warned.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values = base_values(base, *triple)
+            values = base_values(base, *triple, out=out)
     except NegativeDistanceError as err:
         pair = _pair_name(rows, cols, np.broadcast(*triple).shape, err.index)
         raise NegativeDistanceError(
@@ -381,22 +439,27 @@ def _checked_values(base: BaseKernel, triple, rows, cols) -> np.ndarray:
 def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
     """Kernel values of every pair of rows of a 2-D point array.
 
-    Entry (i, j) equals eval_kernel(spec, x_i, x_j).  The base kernel
-    runs on the row tiles of :func:`triple_tiles`, and the upper triangle
-    is mirrored, so the result is exactly symmetric.  A non-finite value
+    Entry (i, j) equals eval_kernel(spec, x_i, x_j).  Each row tile of the
+    upper triangle is built in the Gram's own memory by
+    :func:`triple_tiles`, turned into checked base-kernel values in place
+    and copied to its rows; the lower triangle is then mirrored from the
+    upper one, so the result is exactly symmetric.  A non-finite value
     raises NumericalError naming the pair.
     """
     n = len(points)
     gram = np.empty((n, n))
-    for start, triple in triple_tiles(points, spec.invariance):
-        stop = min(start + TILE_ROWS, n)
-        values = _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n])
-        # Copies only: the lower triangle is the upper one's exact transpose.
-        width = stop - start
-        block, beyond = values[:, :width], values[:, width:]
-        gram[start:stop, start:stop] = np.where(np.tri(width, k=-1, dtype=bool), block.T, block)
-        gram[start:stop, stop:] = beyond
-        gram[stop:, start:stop] = beyond.T
+    spans = []
+    for start, stop, triple in triple_tiles(points, spec.invariance, gram):
+        tile = _gram_tile(gram, start, stop)
+        _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n], out=tile)
+        block = tile[:, : stop - start]
+        np.copyto(block, block.T, where=np.tri(stop - start, k=-1, dtype=bool))
+        gram[start:stop, start:] = tile
+        spans.append((start, stop))
+    # Copies only, once no tile needs the rows below it: the lower triangle is
+    # the upper one's exact transpose.
+    for start, stop in spans:
+        gram[stop:, start:stop] = gram[start:stop, stop:].T
     return gram
 
 
@@ -543,8 +606,8 @@ def median_heuristic_sigma(points, invariance: Invariance | None = None) -> floa
         raise ValidationError("median heuristic needs at least two points")
     squared = np.empty(n * (n - 1) // 2)
     filled = 0
-    for _, triple in triple_tiles(pts, invariance):
-        d2 = squared_distance(*triple)
+    for _, _, triple in triple_tiles(pts, invariance):
+        d2 = squared_distance(*triple, out=np.real(triple[1]))
         # Row r of a tile starts at the diagonal, so its strict upper part is d2[r, r + 1:].
         for r in range(len(d2)):
             count = d2.shape[1] - r - 1

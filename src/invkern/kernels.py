@@ -84,17 +84,22 @@ class ScalarTriple:
     syy: float
 
 
-def squared_distance(sxx, sxy, syy):
+def squared_distance(sxx, sxy, syy, out=None):
     """Derived squared distance sxx - 2 Re(sxy) + syy, clamped near zero.
 
     Values below -1e-9 * max(sxx, syy, 1) raise NegativeDistanceError:
     no inner product can produce them.  Smaller negative values are
-    floating-point noise near x == y and are clamped to zero.
+    floating-point noise near x == y and are clamped to zero.  ``out``,
+    if given, receives the distances and may hold ``sxy`` or its real
+    part; the inputs are only read otherwise, and scalar inputs give a
+    NumPy float.
     """
     sxx = np.asarray(sxx, dtype=float)
     syy = np.asarray(syy, dtype=float)
+    s = np.real(np.asarray(sxy))
+    d2 = np.empty(np.broadcast_shapes(sxx.shape, s.shape, syy.shape)) if out is None else out
     # (sxx + syy) first: keeps the value exactly symmetric in x and y
-    d2 = (sxx + syy) - 2.0 * np.real(np.asarray(sxy))
+    np.subtract(sxx + syy, np.multiply(s, 2.0, out=d2), out=d2)
     # The tolerance is positive, so only a negative d2 can fall below it.
     if np.any(d2 < 0.0):
         bad = d2 < -1e-9 * np.maximum(np.maximum(sxx, syy), 1.0)
@@ -106,24 +111,37 @@ def squared_distance(sxx, sxy, syy):
                 "the triple does not come from an inner product",
                 index=index,
             )
-    return np.maximum(d2, 0.0)
+    np.maximum(d2, 0.0, out=d2)
+    return d2 if out is not None or d2.ndim else d2[()]
 
 
-def base_values(spec: BaseKernel, sxx, sxy, syy):
+def base_values(spec: BaseKernel, sxx, sxy, syy, out=None):
     """Vectorized kernel evaluation from triple components.
 
     Complex ``sxy`` is symmetrized to Re(sxy), which is exactly the
     (<x,y>^m + <y,x>^m)/2 combination the invariant closed forms use.
+    ``out``, if given, receives the values and may hold ``sxy`` or its
+    real part, so a Gram tile is evaluated in place; the inputs are only
+    read otherwise, and scalar inputs give a NumPy float.
     """
     s = np.real(np.asarray(sxy))
-    if spec.family == "linear":
-        return np.asarray(s, dtype=float)
-    if spec.family == "poly":
-        return np.asarray((s + 1.0) ** spec.degree, dtype=float)
-    if spec.family == "polyhom":
-        return np.asarray(s ** spec.degree, dtype=float)
-    d2 = squared_distance(sxx, s, syy)
-    # a / -c is -a / c exactly, with one pass less over the values.
-    if spec.family == "gaussian":
-        return np.exp(d2 / -(2.0 * spec.sigma**2))
-    return np.exp(np.sqrt(d2) / -spec.sigma)
+    values = out
+    if values is None:
+        values = np.empty(np.broadcast_shapes(np.shape(sxx), s.shape, np.shape(syy)))
+    if FAMILIES[spec.family] != "sigma":
+        if spec.family == "poly":
+            np.add(s, 1.0, out=values)
+        else:
+            np.copyto(values, s)
+        # `**=` takes the same route as `**`: a square for degree 2, else np.power.
+        if spec.family != "linear":
+            values **= spec.degree
+    else:
+        squared_distance(sxx, s, syy, out=values)
+        # a / -c is -a / c exactly, with one pass less over the values.
+        if spec.family == "gaussian":
+            np.divide(values, -(2.0 * spec.sigma**2), out=values)
+        else:
+            np.divide(np.sqrt(values, out=values), -spec.sigma, out=values)
+        np.exp(values, out=values)
+    return values if out is not None or values.ndim else values[()]

@@ -49,7 +49,7 @@ def median_distance(points, invariance=None) -> float:
     from a buffer of squared distances, must equal bit for bit.
     """
     distances = []
-    for _, triple in triple_tiles(np.asarray(points), invariance):
+    for _, _, triple in triple_tiles(np.asarray(points), invariance):
         d2 = squared_distance(*triple)
         distances.append(np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]))
     return max(float(np.median(np.concatenate(distances))), 1e-12)

@@ -36,9 +36,11 @@ from invkern import (
     quotient_map_oracle,
     rotation,
     sample_group_element,
+    transform_triples,
 )
 from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_select
 from invkern.errors import FieldError, OracleSizeError, ParseError, ZeroVectorError
+from invkern.kernels import base_values, squared_distance
 from oracles import median_distance
 
 
@@ -546,9 +548,99 @@ class TestFlatMemory:
         n = self.N
         pts = np.random.default_rng(26).standard_normal((n, 2))
         spec = KernelSpec(gaussian(1.0), inv)
-        assert self.peak_bytes(lambda: kernel_matrix(pts, spec)) < 1.5 * n * n * 8
+        # Tiles are built in the Gram's own memory, with one tile temporary at a time.
+        assert self.peak_bytes(lambda: kernel_matrix(pts, spec)) < 1.1 * n * n * 8
         pairs = n * (n - 1) // 2
         assert self.peak_bytes(lambda: median_heuristic_sigma(pts, inv)) < 1.5 * pairs * 8
+
+    @pytest.mark.parametrize("inv", [PHASE, rotation(3)], ids=["phase", "rot:3"])
+    def test_complex_kernel_matrix_stays_flat(self, inv):
+        # A complex product goes to one reused buffer, beside one temporary:
+        # the conjugate of phase, the squares of rot:3.
+        from invkern import kernel_matrix
+
+        n = self.N
+        pts = complex_points(np.random.default_rng(27), n, 2)
+        spec = KernelSpec(gaussian(1.0), inv)
+        assert self.peak_bytes(lambda: kernel_matrix(pts, spec)) < 1.25 * n * n * 8
+
+
+OUT_CASES = [
+    (inv, field)
+    for field in ("real", "complex")
+    for inv in [None, SIGN, rotation(3), PHASE, SCALE, PROJ, chain(SCALE, SIGN)]
+    if field == "complex" or inv != rotation(3)
+]
+OUT_FAMILIES = [linear(), gaussian(1.3), laplace(0.7), poly(3), polyhom(2)]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOutBuffers:
+    # transform_triples, squared_distance and base_values write into out when
+    # given (kernel_matrix rewrites each tile in the Gram's memory); the results keep
+    # every bit of the allocating calls, which only read their inputs.
+    @staticmethod
+    def triple(field):
+        rng = np.random.default_rng(29)
+        pts = rng.standard_normal((7, 3)) if field == "real" else complex_points(rng, 7, 3)
+        sxy = pts @ pts.conj().T
+        norms = np.real(np.diagonal(sxy)).copy()
+        return norms[:, None], sxy, norms[None, :]
+
+    @pytest.mark.parametrize(
+        ("inv", "field"), OUT_CASES,
+        ids=[f"{inv and format_invariance(inv)}-{field}" for inv, field in OUT_CASES],
+    )
+    def test_out_keeps_bits_and_inputs(self, inv, field):
+        triple = self.triple(field)
+        before = [t.copy() for t in triple]
+        rewritten = transform_triples(inv, *triple)
+        assert all(same_bits(t, b) for t, b in zip(triple, before))
+        own = triple[1].copy()
+        # Into a separate buffer, and in place over a copy of sxy.
+        for sxy, buf in ((triple[1], np.empty_like(own)), (own, own)):
+            got = transform_triples(inv, triple[0], sxy, triple[2], out=buf)
+            assert all(same_bits(g, r) for g, r in zip(got, rewritten))
+            assert np.shares_memory(got[1], buf)
+
+        shape = np.broadcast(*rewritten).shape
+        frozen = [np.copy(t) for t in rewritten]
+        distances = squared_distance(*rewritten)
+        buf = np.empty(shape)
+        assert same_bits(squared_distance(*rewritten, out=buf), distances)
+        for family in OUT_FAMILIES:
+            values = base_values(family, *rewritten)
+            assert all(same_bits(t, f) for t, f in zip(rewritten, frozen))
+            buf = np.empty(shape)
+            assert base_values(family, *rewritten, out=buf) is buf
+            assert same_bits(buf, values), family
+            # In place, over the real part of a copy of the rewritten sxy.
+            own = np.copy(rewritten[1])
+            in_place = base_values(family, rewritten[0], own, rewritten[2], out=np.real(own))
+            assert same_bits(in_place, values), family
+
+    @pytest.mark.parametrize("n", [1, 2, 129, 200, 263])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_kernel_matrix_keeps_the_allocating_bits(self, n, field):
+        # Tiles built in the Gram's rows below them, or in their own rows where
+        # those have no room, keep the values of the allocating tiles, mirrored.
+        from invkern import kernel_matrix
+        from invkern.invariance import triple_tiles
+
+        rng = np.random.default_rng(31)
+        pts = rng.standard_normal((n, 3)) if field == "real" else complex_points(rng, n, 3)
+        spec = KernelSpec(gaussian(1.3), PROJ)
+        expected = np.empty((n, n))
+        for start, stop, triple in triple_tiles(pts, PROJ):
+            expected[start:stop, start:] = base_values(spec.base, *triple)
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        gram = kernel_matrix(pts, spec)
+        assert same_bits(gram[upper], expected[upper])
+        assert same_bits(gram, gram.T)
 
 
 class TestKernelTriple:

@@ -160,6 +160,14 @@ class TestEvalBase:
             for i in range(30):
                 assert vec[i] == triple_value(spec, ScalarTriple(sxx[i], sxy[i], syy[i]))
 
+    def test_scalar_inputs_give_numpy_floats(self):
+        # As numpy's own ufuncs do; arrays in give a new array out.
+        for spec in [linear(), gaussian(1.2), laplace(0.9), poly(2), polyhom(3)]:
+            assert type(base_values(spec, 2.0, 0.5 + 0.25j, 1.0)) is np.float64
+            assert base_values(spec, np.ones(3), np.zeros(3), np.ones(3)).shape == (3,)
+        assert type(squared_distance(2.0, 0.5, 1.0)) is np.float64
+        assert squared_distance(np.ones((2, 1)), np.zeros(3), 1.0).shape == (2, 3)
+
 
 class TestIsometryInvariance:
     """Triple-based evaluation is blind to the transforms that preserve it."""

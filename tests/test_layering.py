@@ -65,6 +65,12 @@ def test_one_function_rewrites_triples():
     }
 
 
+def test_one_function_makes_base_values():
+    # Gram tiles and pairs alike reach the base kernel through the checked
+    # step; a second caller could be an unchecked or in-place copy of it.
+    assert functions_naming("base_values") == {"invariance._checked_values"}
+
+
 def definitions_of(names: set) -> list:
     """``module: name`` of every def, class, assignment or import of ``names``."""
     defined = []
