@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -55,11 +54,7 @@ def _build_spec(args, points=None) -> KernelSpec:
     """Kernel spec from flags.  An RBF family takes --sigma, or without it
     the median pairwise distance in the invariant feature geometry, which
     needs data."""
-    inv_text = args.inv
-    if inv_text and args.m:
-        # --m fills in the order of any bare "rot" token
-        inv_text = re.sub(r"\brot\b(?!:)", f"rot:{args.m}", inv_text, flags=re.IGNORECASE)
-    invariance = parse_invariance(inv_text) if inv_text else None
+    invariance = parse_invariance(args.inv) if args.inv else None
     family, sigma = args.kernel, args.sigma
     if FAMILIES[family] != "sigma":
         return KernelSpec(BaseKernel(family, degree=args.degree), invariance)
@@ -82,10 +77,33 @@ def _write_labels(labels, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Rows of gram.csv formatted together; 64 rows keep the block's own cell
+# strings small beside the text kept for the rows below it.
+_GRAM_CSV_BLOCK = 64
+
+
 def _write_gram_csv(values: np.ndarray, path: Path) -> None:
-    # repr round-trips each float; rows stream out, one string per row.
+    """Write a Gram as CSV text, ``repr`` per cell, so every float round-trips.
+
+    ``values`` must equal its transpose bit for bit, as ``kernel_matrix``
+    makes it: each symmetric pair is formatted once, in a block of rows
+    holding its upper cell.  The cells right of a block become one joined
+    chunk per later row, and a row's chunks are freed once it is written,
+    so at most N²/4 cells are held, as joined text.
+    """
+    n = len(values)
+    pending = [[] for _ in range(n)]  # per row: chunks of its cells left of the block
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(",".join(map(repr, row.tolist())) + "\n" for row in values)
+        for start in range(0, n, _GRAM_CSV_BLOCK):
+            stop = min(start + _GRAM_CSV_BLOCK, n)
+            upper = [list(map(repr, row.tolist())) for row in values[start:stop, start:]]
+            for r, cells in enumerate(upper):
+                below_diagonal = [above[r] for above in upper[:r]]
+                handle.write(",".join([*pending[start + r], *below_diagonal, *cells[r:]]) + "\n")
+                pending[start + r] = None
+            right = (cells[stop - start:] for cells in upper)
+            for chunks, chunk in zip(pending[stop:], map(",".join, zip(*right))):
+                chunks.append(chunk)
 
 
 def _write_heatmap(gram: np.ndarray, labels, path: Path) -> None:
@@ -328,10 +346,6 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
         "--inv",
         default=None,
         help="invariance: sign, rot:m, phase, scale, proj, chain(a,b)",
-    )
-    parser.add_argument(
-        "--m", type=int, default=None,
-        help="rotation order for a bare 'rot' in --inv",
     )
 
 

@@ -11,9 +11,11 @@ separation).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,16 +182,62 @@ def parse_cell(text: str, source, line, column) -> float:
     return value
 
 
+# Labels must fit the int64 label array.
+_LABEL_LIMIT = 2**63
+
+
 def load_csv(path, has_labels: bool = False) -> Dataset:
     """Load a rectangular numeric CSV as a dataset.
 
     A header row is assumed only when *every* cell of the first row
     fails to parse as a number.  NaN and infinite cells are rejected.
     With ``has_labels`` the last column holds nonnegative integer
-    labels.  Line and column numbers in errors are 1-based.
+    labels below 2**63.  Line and column numbers in errors are 1-based;
+    invalid UTF-8 is a FormatError naming its byte offset.
+
+    numpy parses the file first.  Any file it rejects, or whose values
+    break a rule above, goes through the cell loop, which alone reads
+    headers, names a bad cell and accepts what only ``float()`` does
+    (``1_000``, non-ASCII digits).  Both end in the same string-to-double
+    conversion, so a file both accept loads to the same bits.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        raw = [(i + 1, row) for i, row in enumerate(csv.reader(handle)) if row]
+    data = _load_with_numpy(path, has_labels)
+    return data if data is not None else _load_cells(path, has_labels)
+
+
+def _load_with_numpy(path, has_labels: bool) -> Dataset | None:
+    """The dataset ``_load_cells`` gives, or None when numpy cannot tell it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file only warns
+            # An open handle, not a path: numpy would also fetch URLs,
+            # decompress and look for ``path + ".gz"``.
+            with open(path, encoding="utf-8") as handle:
+                values = np.loadtxt(
+                    handle, delimiter=",", comments=None, quotechar='"', ndmin=2
+                )
+    except (ValueError, Warning):
+        return None
+    if values.size == 0 or not np.isfinite(values).all():
+        return None
+    labels = None
+    if has_labels:
+        labels = values[:, -1]
+        if values.shape[1] < 2 or not (
+            np.all(labels >= 0) and np.all(labels < _LABEL_LIMIT)
+            and np.array_equal(labels, np.trunc(labels))
+        ):
+            return None
+        # A column slice is strided; Gram bits must not depend on the layout.
+        values = np.ascontiguousarray(values[:, :-1])
+        labels = labels.astype(np.int64)
+    return Dataset(values, labels, _csv_meta(path))
+
+
+def _load_cells(path, has_labels: bool) -> Dataset:
+    """``load_csv`` cell by cell: headers, and errors naming the bad cell."""
+    lines = io.StringIO(_read_utf8(path), newline="")
+    raw = [(i + 1, row) for i, row in enumerate(csv.reader(lines)) if row]
     if not raw:
         raise FormatError(f"{path}: empty file", line=1)
     first_line, first_row = raw[0]
@@ -210,30 +258,36 @@ def load_csv(path, has_labels: bool = False) -> Dataset:
                 f"{path}: row at line {line} has {len(row)} cells, expected {width}",
                 line=line,
             )
-        try:
-            values = list(map(float, row))
-        except ValueError:
-            values = None
-        # The sum of a row is finite unless a cell is not finite or the sum
-        # overflows; only then does parse_cell go through it cell by cell,
-        # raising at the first bad cell.
-        if values is None or not math.isfinite(sum(values)):
-            values = [parse_cell(cell, path, line, col + 1) for col, cell in enumerate(row)]
+        values = [parse_cell(cell, path, line, col + 1) for col, cell in enumerate(row)]
         if has_labels:
             label = values[-1]
-            if label != int(label) or label < 0:
+            if label != int(label) or not 0 <= label < _LABEL_LIMIT:
                 raise ParseError(
-                    f"{path}: label {row[-1]!r} at line {line} is not a nonnegative integer",
+                    f"{path}: label {row[-1]!r} at line {line} is not a nonnegative "
+                    "integer below 2**63",
                     line=line,
                     column=width,
                 )
             labels.append(int(label))
             values = values[:-1]
         rows.append(values)
-    meta = {"name": os.path.splitext(os.path.basename(str(path)))[0], "source": str(path)}
+    meta = _csv_meta(path)
     if header is not None:
         meta["header"] = header
     return Dataset(np.array(rows), np.array(labels) if has_labels else None, meta)
+
+
+def _read_utf8(path) -> str:
+    with open(path, "rb") as handle:
+        content = handle.read()
+    try:
+        return content.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: invalid UTF-8 at byte offset {err.start}") from None
+
+
+def _csv_meta(path) -> dict:
+    return {"name": os.path.splitext(os.path.basename(str(path)))[0], "source": str(path)}
 
 
 def _is_number(text: str) -> bool:

@@ -1,8 +1,9 @@
-"""Scalar reference implementations of the scalar-product triple.
+"""Reference implementations the package's batched code is tested against.
 
-The package reads every triple from a batched ``X @ Xᴴ`` field.  These
-one-pair formulas, written straight from the definitions, are what the
-hand-formula and isometry tests compare that field against.
+The package reads every triple from a batched ``X @ Xᴴ`` field.  The
+one-pair formulas here, written straight from the definitions, are what
+the hand-formula and isometry tests compare that field against.  The
+per-row ``gram.csv`` writer is the byte reference for the blocked one.
 """
 
 import numpy as np
@@ -53,3 +54,9 @@ def median_distance(points, invariance=None) -> float:
         d2 = squared_distance(*triple)
         distances.append(np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]))
     return max(float(np.median(np.concatenate(distances))), 1e-12)
+
+
+def write_gram_csv_rows(values, path) -> None:
+    """gram.csv row by row: ``repr`` of every cell, one line per row."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(",".join(map(repr, row.tolist())) + "\n" for row in values)

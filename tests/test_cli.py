@@ -1,9 +1,11 @@
 """CLI behavior: values, artifacts, exit codes, determinism."""
 
 import contextlib
+import gzip
 import io
 import json
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,9 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invkern import KernelSpec, build_gram, gen_xor, keca_embed, linear, load_csv, save_dataset
-from invkern.cli import main
+from invkern import (
+    KernelSpec, build_gram, gaussian, gen_xor, keca_embed, linear, load_csv, save_dataset,
+)
+from invkern.cli import _write_gram_csv, main
 from invkern.errors import DegenerateEmbeddingError
+from oracles import write_gram_csv_rows
 
 
 def run(capsys, *argv):
@@ -44,18 +49,19 @@ class TestEval:
         assert code == 0
         assert out.split("\n")[0] == "1"
 
-    def test_bare_rot_takes_order_from_m_flag(self, capsys):
+    def test_rot_order_comes_from_inv(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--kernel", "gaussian", "--sigma", "2",
-            "--inv", "rot", "--m", "2", "--x", "1,0", "--y=-1,0",
+            "--inv", "rot:2", "--x", "1,0", "--y=-1,0",
         )
         assert code == 0
         assert out.split("\n")[0] == "1"
-        code, _, _ = run(
-            capsys, "eval", "--kernel", "gaussian", "--sigma", "2",
-            "--inv", "rot", "--x", "1,0", "--y", "0,1",
-        )
-        assert code == 2
+        for order_flags in ([], ["--m", "2"]):
+            code, _, _ = run(
+                capsys, "eval", "--kernel", "gaussian", "--sigma", "2",
+                "--inv", "rot", *order_flags, "--x", "1,0", "--y", "0,1",
+            )
+            assert code == 2
 
     def test_malformed_vector_exits_2(self, capsys):
         code, _, err = run(
@@ -228,6 +234,67 @@ class TestGram:
             "--kernel", "gaussian", "--sigma", "1", "--out", str(tmp_path / "o"),
         )
         assert code == 4
+
+    def test_input_is_read_as_named(self, capsys, tmp_path):
+        # A compressed file is neither looked for beside a missing input
+        # nor decompressed when named.
+        packed = tmp_path / "x.csv.gz"
+        packed.write_bytes(gzip.compress(b"1,2\n3,4\n"))
+        missing = tmp_path / "x.csv"
+        out_dir = str(tmp_path / "o")
+        code, _, err = run(capsys, "gram", "--input", str(missing), "--sigma", "1", "--out", out_dir)
+        assert code == 4
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        code, _, err = run(capsys, "gram", "--input", str(packed), "--sigma", "1", "--out", out_dir)
+        assert code == 2
+        assert err.startswith(f"error: {packed}: invalid UTF-8 at byte offset ")
+
+    @pytest.mark.parametrize("argv", [
+        ["gram", "--sigma", "1"],
+        ["cluster", "--k", "2", "--sigma", "1"],
+        ["eval", "--sigma", "1"],
+    ], ids=["gram", "cluster", "eval"])
+    def test_invalid_utf8_input_exits_2(self, capsys, tmp_path, argv):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(b"1,2\n3,\xff\n")
+        code, out, err = run(capsys, *argv, "--input", str(csv_path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {csv_path}: invalid UTF-8 at byte offset 6\n"
+
+
+def symmetric_gram(rng, n):
+    """A symmetric matrix with -0.0, the smallest subnormal and a 1.0 diagonal."""
+    values = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    gram = np.triu(values) + np.triu(values, 1).T
+    np.fill_diagonal(gram, 1.0)
+    if n > 1:
+        gram[0, -1] = gram[-1, 0] = -0.0
+        gram[n // 2, n // 3] = gram[n // 3, n // 2] = 5e-324
+    return gram
+
+
+class TestGramCsvWriter:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+    def test_matches_per_row_writer(self, tmp_path, n):
+        # Sizes around the block height cover a partial and a single-row last block.
+        gram = symmetric_gram(np.random.default_rng(n), n)
+        _write_gram_csv(gram, tmp_path / "blocked.csv")
+        write_gram_csv_rows(gram, tmp_path / "rows.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_peak_memory_is_about_one_gram(self, tmp_path):
+        # At most N²/4 cells are held, as joined text; keeping a str object
+        # per cell for the rows below would peak at about 2.5 x the Gram.
+        n = 2000
+        gram = build_gram(gen_xor(n // 4, 0.15, seed=0), KernelSpec(gaussian(1.0)))
+        tracemalloc.start()
+        try:
+            _write_gram_csv(gram, tmp_path / "gram.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * gram.nbytes
 
 
 class TestCluster:

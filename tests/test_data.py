@@ -1,9 +1,13 @@
 """Generator, CSV, and mixing-estimation tests."""
 
+import tempfile
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invkern import (
     PROJ,
@@ -23,7 +27,7 @@ from invkern import (
     save_dataset,
     top_norm_select,
 )
-from invkern.data import best_matching
+from invkern.data import _load_cells, best_matching
 from invkern.errors import DegenerateClusterError, FormatError, ParseError
 
 
@@ -184,15 +188,29 @@ class TestLoadCsv(object):
 
     @pytest.mark.parametrize("cell,kind", [
         ("x", "non-numeric"), ("nan", "non-finite"), ("-inf", "non-finite"), ("", "non-numeric"),
+        # labels: int64 holds none of these; 2**63 - 1 rounds up to 2**63 as a float
+        ("1e20", "label"), ("9223372036854775807", "label"), ("2.5", "label"),
     ])
     def test_bad_cell_deep_in_file(self, tmp_path, cell, kind):
         rows = [["0.5"] * 299 + ["1"] for _ in range(600)]
-        rows[499][199] = cell
+        column = 300 if kind == "label" else 200
+        rows[499][column - 1] = cell
         text = "".join(",".join(row) + "\n" for row in rows)
         with pytest.raises(ParseError) as err:
             load_csv(self.write(tmp_path, text), has_labels=True)
-        assert (err.value.line, err.value.column) == (500, 200)
-        assert f"{kind} cell {cell!r} at line 500, column 200" in str(err.value)
+        assert (err.value.line, err.value.column) == (500, column)
+        if kind == "label":
+            message = f"label {cell!r} at line 500 is not a nonnegative integer below 2**63"
+        else:
+            message = f"{kind} cell {cell!r} at line 500, column 200"
+        assert message in str(err.value)
+
+    def test_invalid_utf8_names_its_byte_offset(self, tmp_path):
+        # Past the first 8 KiB, where a decoder fed in chunks would count afresh.
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"1.5,2.5\n" * 2000 + b"3,\xe9\n")
+        with pytest.raises(FormatError, match=r"invalid UTF-8 at byte offset 16002$"):
+            load_csv(path)
 
     def test_first_bad_row_wins(self, tmp_path):
         # An earlier non-finite cell is reported before a later non-numeric one.
@@ -244,6 +262,73 @@ class TestLoadCsv(object):
         sidecar = tmp_path / "xor.meta.json"
         assert sidecar.exists()
         assert '"name": "xor"' in sidecar.read_text()
+
+
+PLAIN_CELLS = ("0", "1", "-2.5", "0.1", "3e2", "-0.0", "5e-324", "1e308", "7")
+# Cells that float() and numpy may read differently, or that neither accepts;
+# the labels are not integers, or not below 2**63, except 2**63 - 1024.
+ODD_CELLS = (
+    " 1.5", "1.5 ", "1_000", '"1"', ' "1"', "", "#c", "nan", "inf", "1e999", "\uff11",
+    "1e20", "1.5", "9223372036854775808", "9223372036854774784",
+)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text from a cell grammar and file layouts, and whether it is labeled."""
+    sometimes = st.sampled_from((False, False, False, True))
+    width = draw(st.integers(1, 4))
+    labeled = draw(st.booleans())
+    plain = st.lists(st.sampled_from(PLAIN_CELLS), min_size=width, max_size=width)
+    rows = draw(st.lists(plain, min_size=1, max_size=5))
+    if labeled:
+        rows = [row + [draw(st.sampled_from(("0", "1", "2")))] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
+    if draw(sometimes):  # a row whose finite cells sum past the float range
+        row = draw(st.sampled_from(rows))
+        row[:] = ["1e308"] * len(row)
+    if draw(sometimes):  # ragged: one row one cell short or long
+        row = draw(st.sampled_from(rows))
+        row[:] = row[:-1] if draw(st.booleans()) else row + ["1"]
+    if draw(sometimes):  # trailing commas, on one row or on all
+        for row in rows if draw(st.booleans()) else [draw(st.sampled_from(rows))]:
+            row.append("")
+    if draw(sometimes):  # a header row, or a first row with one number
+        header = draw(st.sampled_from(("a,b,c,d,e", "a,2,c,d,e"))).split(",")
+        rows.insert(0, header[: len(rows[0])])
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):  # blank and whitespace-only lines
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t"))))
+    newline = draw(st.sampled_from(("\n", "\r", "\r\n")))
+    text = newline.join(lines) + draw(st.sampled_from((newline, "")))
+    if draw(sometimes):
+        text = "\ufeff" + text
+    return text, labeled
+
+
+def load_outcome(load, path, labeled):
+    """What a loader gives: the dataset's bits and meta, or its error."""
+    try:
+        data = load(path, labeled)
+    except (FormatError, ParseError) as err:
+        return type(err), str(err), err.line, getattr(err, "column", None)
+    assert data.points.flags.c_contiguous
+    labels = None if data.labels is None else (data.labels.dtype, data.labels.tobytes())
+    return data.points.dtype, data.points.shape, data.points.tobytes(), labels, data.meta
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=csv_files())
+def test_numpy_parse_agrees_with_cell_loop(case):
+    # load_csv tries numpy first; whatever it accepts must be what the cell
+    # loop gives, and whatever it rejects must fail as the loop fails.
+    text, labeled = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_outcome(load_csv, path, labeled) == load_outcome(_load_cells, path, labeled)
 
 
 class TestTopNormSelect:
