@@ -37,14 +37,12 @@ from .invariance import (
     check_invariance,
     eval_kernel,
     format_invariance,
-    frobenius_inner,
     invariant_inner,
     kernel_label,
     kernel_matrix,
     kernel_triple,
     median_heuristic_sigma,
     parse_invariance,
-    quotient_map_oracle,
     rotation,
     sample_group_element,
     transform_triples,

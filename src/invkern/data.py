@@ -236,8 +236,14 @@ def _load_with_numpy(path, has_labels: bool) -> Dataset | None:
 
 def _load_cells(path, has_labels: bool) -> Dataset:
     """``load_csv`` cell by cell: headers, and errors naming the bad cell."""
-    lines = io.StringIO(_read_utf8(path), newline="")
-    raw = [(i + 1, row) for i, row in enumerate(csv.reader(lines)) if row]
+    reader = csv.reader(io.StringIO(_read_utf8(path), newline=""))
+    try:
+        raw = [(i + 1, row) for i, row in enumerate(reader) if row]
+    except csv.Error as err:
+        # For one, a cell past the csv module's field limit.  The limit is
+        # process-wide state, so it stays as it is.
+        line = reader.line_num
+        raise FormatError(f"{path}: {err} at line {line}", line=line) from None
     if not raw:
         raise FormatError(f"{path}: empty file", line=1)
     first_line, first_row = raw[0]

@@ -35,10 +35,6 @@ class NegativeDistanceError(InvkernError):
         self.index = index
 
 
-class OracleSizeError(InvkernError):
-    """Explicit-feature oracle would exceed its size limits."""
-
-
 class NumericalError(InvkernError):
     """A numerical routine failed to converge or met non-finite values."""
 

@@ -3,11 +3,16 @@
 Text output only: every point is one <circle class="pt"> and every
 matrix cell one <rect class="cell">, at any matrix size (no pooling), so
 tests can count nodes, and identical inputs produce byte-identical files.
-The heatmap computes a row's colours in numpy and emits the row with one
-comprehension, so its Python work is per row, not per cell.
+The heatmap formats each x and y coordinate once, builds one byte
+template of a whole row per width of the y text, and fills a single
+output buffer in chunks of rows: numpy copies the template and writes
+each cell's y and six colour digits by fancy indexing.  Its Python work
+is per column and per row chunk, never per cell.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -18,6 +23,13 @@ PALETTE = (
 
 _HEAT_LOW = (255, 255, 255)
 _HEAT_HIGH = (8, 48, 107)
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_CLOSER = '"/>\n'
+_CLOSING = "</svg>\n"
+
+# Heatmap rows filled from their template at once; bounds the colour
+# temporaries to this many rows of cells.
+_CHUNK_ROWS = 64
 
 
 def _fmt(value: float) -> str:
@@ -59,6 +71,7 @@ def scatter_svg(points, labels=None, size: int = 480, margin: float = 30.0,
 def heatmap_svg(matrix, size: int = 480) -> str:
     """SVG heatmap, one rect per matrix cell, dark cells for large values.
 
+    A value range wider than the largest float is coloured at half scale.
     Raises ValueError for an empty matrix or a non-finite entry.
     """
     values = np.asarray(matrix, dtype=float)
@@ -71,23 +84,66 @@ def heatmap_svg(matrix, size: int = 480) -> str:
     n_rows, n_cols = values.shape
     vmin = float(values.min())
     vmax = float(values.max())
+    if not np.isfinite(vmax - vmin):
+        # Halving is exact for normal values and brings the range below the
+        # largest float; at full scale every t would be 0 or nan.
+        values, vmin, vmax = values * 0.5, vmin * 0.5, vmax * 0.5
     span = vmax - vmin if vmax > vmin else 1.0
     cell_w = size / n_cols
     cell_h = size / n_rows
-    parts = [
+    opening = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
-    ]
+        f'viewBox="0 0 {size} {size}">\n'
+        f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n'
+    )
     heads = [f'<rect class="cell" x="{_fmt(j * cell_w)}" y="' for j in range(n_cols)]
     tail = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="#'
-    for i, row in enumerate(values):
-        t = (row - vmin) / span
+    ys = [_fmt(i * cell_h) for i in range(n_rows)]
+    # A cell is its column's head, the row's y, the tail, six hex digits
+    # and the closer.  A row template holds every cell with '?' gaps for the
+    # y and the digits, so cell j's y gap starts after heads 0..j and j
+    # cells' worth of the other parts.
+    head_ends = np.cumsum([len(h) for h in heads])
+    fixed = len(tail) + 6 + len(_CLOSER)
+    out = np.empty(
+        len(opening) + n_rows * (int(head_ends[-1]) + n_cols * fixed)
+        + n_cols * sum(map(len, ys)) + len(_CLOSING),
+        dtype=np.uint8,
+    )
+    out[:len(opening)] = _bytes(opening)
+    out[out.size - len(_CLOSING):] = _bytes(_CLOSING)
+    pos = len(opening)
+    first = 0
+    for width, run in groupby(ys, key=len):
+        y_text = "".join(run)
+        count = len(y_text) // width
+        template = _bytes("".join(f"{h}{'?' * width}{tail}??????{_CLOSER}" for h in heads))
+        y_at = head_ends + np.arange(n_cols) * (width + fixed)
+        y_cols = y_at[:, None] + np.arange(width)
+        hex_cols = (y_at + width + len(tail))[:, None] + np.arange(6)
+        y_bytes = _bytes(y_text).reshape(count, 1, width)
+        for lo in range(0, count, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, count)
+            block = out[pos:pos + (hi - lo) * template.size].reshape(hi - lo, template.size)
+            block[:] = template
+            block[:, y_cols] = y_bytes[lo:hi]
+            block[:, hex_cols] = _hex_colours(values[first + lo:first + hi], vmin, span)
+            pos += block.size
+        first += count
+    return str(memoryview(out), "ascii")
+
+
+def _hex_colours(rows: np.ndarray, vmin: float, span: float) -> np.ndarray:
+    """The six lower-case hex digits of each cell's colour, shape rows.shape + (6,)."""
+    t = (rows - vmin) / span
+    digits = np.empty(rows.shape + (6,), dtype=np.uint8)
+    for c, (lo, hi) in enumerate(zip(_HEAT_LOW, _HEAT_HIGH)):
         # np.rint rounds half to even, as Python's round does.
-        rgb = np.zeros(n_cols, dtype=np.int64)
-        for lo, hi in zip(_HEAT_LOW, _HEAT_HIGH):
-            rgb = (rgb << 8) | np.rint(lo + t * (hi - lo)).astype(np.int64)
-        middle = _fmt(i * cell_h) + tail
-        parts.extend([f'{head}{middle}{c:06x}"/>' for head, c in zip(heads, rgb.tolist())])
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        level = np.rint(lo + t * (hi - lo)).astype(np.intp)
+        digits[..., 2 * c] = _HEX[level >> 4]
+        digits[..., 2 * c + 1] = _HEX[level & 15]
+    return digits
+
+
+def _bytes(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)

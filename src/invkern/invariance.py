@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import (
     FieldError,
     NegativeDistanceError,
     NumericalError,
-    OracleSizeError,
     ParseError,
     ValidationError,
     ZeroVectorError,
@@ -481,46 +479,6 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     k(x, x) and k(y, y) are skipped.
     """
     return triple_value(spec.base, kernel_triple(spec, x, y))
-
-
-# ---------------------------------------------------------------------------
-# Explicit quotient features (brute-force reference)
-
-
-def quotient_map_oracle(spec: Invariance, x) -> np.ndarray:
-    """Explicit invariant features of one point.
-
-    This is the slow reference path: the m-fold outer tensor for
-    rotation invariance, v v* for phase, x/||x|| for scale and
-    x x*/||x||^2 for proj.  Pairing two outputs with the Frobenius
-    inner product reproduces :func:`invariant_inner`.
-    """
-    x = np.asarray(x)
-    if spec.kind == "chain":
-        raise ValueError("chained invariances have no explicit feature oracle")
-    if spec.kind == "rotation":
-        if spec.m > 3 or x.size > 8:
-            raise OracleSizeError(
-                f"outer-tensor oracle limited to m <= 3 and dim <= 8 "
-                f"(got m={spec.m}, dim={x.size})"
-            )
-        return reduce(np.multiply.outer, [x] * spec.m)
-    if spec.kind == "phase":
-        return np.outer(x, np.conj(x))
-    norm_sq = float(np.real(np.vdot(x, x)))
-    if norm_sq == 0.0:
-        raise ZeroVectorError(f"{spec.kind} quotient is undefined at the origin")
-    if spec.kind == "scale":
-        return x / np.sqrt(norm_sq)
-    return np.outer(x, np.conj(x)) / norm_sq
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray):
-    """Hermitian Frobenius pairing sum a_i * conj(b_i) over all entries."""
-    value = complex(np.vdot(np.asarray(b).ravel(), np.asarray(a).ravel()))
-    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-        return value.real
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invkern import (
-    KernelSpec, build_gram, gaussian, gen_xor, keca_embed, linear, load_csv, save_dataset,
+    SIGN, Dataset, KernelSpec, build_gram, gaussian, gen_xor, keca_embed, linear, load_csv,
+    save_dataset,
 )
 from invkern.cli import _write_gram_csv, main
 from invkern.errors import DegenerateEmbeddingError
-from oracles import write_gram_csv_rows
+from oracles import heatmap_oracle, write_gram_csv_rows
 
 
 def run(capsys, *argv):
@@ -261,6 +262,39 @@ class TestGram:
         assert code == 2
         assert out == ""
         assert err == f"error: {csv_path}: invalid UTF-8 at byte offset 6\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["gram", "--sigma", "1"],
+        ["cluster", "--k", "2", "--sigma", "1"],
+        ["eval", "--sigma", "1"],
+    ], ids=["gram", "cluster", "eval"])
+    def test_cell_past_the_csv_field_limit_exits_2(self, capsys, tmp_path, argv):
+        # numpy reads the long cell as inf, so the file reaches the csv
+        # module, whose field limit is 131072 characters.
+        csv_path = tmp_path / "long.csv"
+        csv_path.write_text("1,2\n1," + "1" * 200000 + "\n")
+        code, out, err = run(capsys, *argv, "--input", str(csv_path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {csv_path}: field larger than field limit")
+        assert err.endswith(" at line 2\n")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_heatmap_is_the_oracle_of_the_label_ordered_gram(self, capsys, tmp_path):
+        data = gen_xor(10, 0.15, seed=3)
+        shuffled = np.random.default_rng(5).permutation(len(data))
+        csv_path = tmp_path / "pts.csv"
+        save_dataset(Dataset(data.points[shuffled], data.labels[shuffled], data.meta), csv_path)
+        out_dir = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "gram", "--input", str(csv_path), "--labeled", "--sigma", "1",
+            "--inv", "sign", "--out", str(out_dir), "--svg",
+        )
+        assert code == 0
+        reread = load_csv(csv_path, has_labels=True)
+        order = np.argsort(reread.labels, kind="stable")
+        gram = build_gram(reread, KernelSpec(gaussian(1.0), SIGN))[np.ix_(order, order)]
+        assert (out_dir / "gram.svg").read_text() == heatmap_oracle(gram)
 
 
 def symmetric_gram(rng, n):

@@ -1,5 +1,6 @@
 """SVG emitter tests: validity, node counts, determinism."""
 
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,37 +9,9 @@ import pytest
 from invkern import KernelSpec, gaussian, kernel_matrix
 from invkern.figures import heatmap_svg, scatter_svg
 from invkern.invariance import SIGN
+from oracles import heatmap_oracle
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
-
-
-def heatmap_oracle(matrix, size=480):
-    """The per-cell reference loop that heatmap_svg must match byte for byte."""
-    values = np.asarray(matrix, dtype=float)
-    n_rows, n_cols = values.shape
-    vmin = float(values.min())
-    vmax = float(values.max())
-    span = vmax - vmin if vmax > vmin else 1.0
-    cell_w = size / n_cols
-    cell_h = size / n_rows
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
-    ]
-    for i in range(n_rows):
-        for j in range(n_cols):
-            t = (values[i, j] - vmin) / span
-            channels = tuple(
-                int(round(lo + t * (hi - lo))) for lo, hi in ((255, 8), (255, 48), (255, 107))
-            )
-            fill = "#{:02x}{:02x}{:02x}".format(*channels)
-            parts.append(
-                f'<rect class="cell" x="{j * cell_w:.3f}" y="{i * cell_h:.3f}" '
-                f'width="{cell_w:.3f}" height="{cell_h:.3f}" fill="{fill}"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def _halfway_row():
@@ -59,6 +32,49 @@ def _halfway_row():
 ], ids=["square", "7x11", "constant", "halfway", "1x1"])
 def test_heatmap_matches_per_cell_oracle(matrix):
     assert heatmap_svg(matrix) == heatmap_oracle(matrix)
+
+
+def _wide_negative():
+    rng = np.random.default_rng(70)
+    tiny_to_huge = 10.0 ** rng.uniform(-300, 300, (10, 40))
+    return -np.concatenate([tiny_to_huge, rng.random((10, 40)) * 1e300])
+
+
+@pytest.mark.parametrize("matrix,size", [
+    (np.random.default_rng(66).random((3, 700)), 480),
+    (np.random.default_rng(67).random((700, 3)), 480),
+    (np.random.default_rng(68).random((65, 65)), 480),
+    (np.random.default_rng(69).random((129, 129)), 480),
+    (np.random.default_rng(71).standard_normal((20, 30)), 5000),
+    (_wide_negative(), 480),
+], ids=["3x700", "700x3", "65x65", "129x129", "size5000", "wide-negative"])
+def test_heatmap_matches_per_cell_oracle_across_template_edges(matrix, size):
+    # 3x700: the x text grows from 5 to 6 to 7 characters along a row.
+    # 700x3: the y width changes at rows 15 and 146, inside 64-row blocks,
+    # so runs of one width end in partial chunks.  65 and 129 rows: one row
+    # past a chunk edge.  size 5000: 8-character coordinates.
+    # wide-negative: values from -1e300 to -1e-300.
+    assert heatmap_svg(matrix, size=size) == heatmap_oracle(matrix, size=size)
+
+
+def test_heatmap_of_a_range_past_the_float_maximum_is_drawn_at_half_scale():
+    # At full scale vmax - vmin is inf, so every colour would be nan.
+    matrix = np.array([[1e308, -1e308], [0.0, 5e307]])
+    svg = heatmap_svg(matrix)
+    assert svg == heatmap_oracle(matrix * 0.5)
+    assert 'fill="#08306b"' in svg and 'fill="#ffffff"' in svg
+
+
+def test_heatmap_peak_memory_is_about_two_texts():
+    # One output buffer and its decoded str; per-cell strings would be more.
+    matrix = np.random.default_rng(72).random((600, 600))
+    tracemalloc.start()
+    try:
+        svg = heatmap_svg(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * len(svg)
 
 
 def test_heatmap_of_gram_matches_per_cell_oracle():

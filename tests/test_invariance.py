@@ -22,7 +22,6 @@ from invkern import (
     check_invariance,
     eval_kernel,
     format_invariance,
-    frobenius_inner,
     gaussian,
     invariant_inner,
     kernel_label,
@@ -33,15 +32,14 @@ from invkern import (
     parse_invariance,
     poly,
     polyhom,
-    quotient_map_oracle,
     rotation,
     sample_group_element,
     transform_triples,
 )
 from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_select
-from invkern.errors import FieldError, OracleSizeError, ParseError, ZeroVectorError
+from invkern.errors import FieldError, ParseError, ZeroVectorError
 from invkern.kernels import base_values, squared_distance
-from oracles import median_distance
+from oracles import OracleSizeError, frobenius_inner, median_distance, quotient_map_oracle
 
 
 def complex_points(rng, n_points, dim, scale=1.0):

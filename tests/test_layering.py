@@ -97,6 +97,11 @@ def test_no_group_element_algebra_in_the_package():
     assert definitions_of({"GroupElement", "compose", "identity_element"}) == []
 
 
+def test_no_explicit_feature_oracles_in_the_package():
+    # The brute-force quotient features are test references, in tests/oracles.py.
+    assert definitions_of({"quotient_map_oracle", "frobenius_inner", "OracleSizeError"}) == []
+
+
 def test_the_gram_is_a_plain_array():
     assert definitions_of({"GramMatrix", "_gram_values"}) == []
 
