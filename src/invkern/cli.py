@@ -1,9 +1,10 @@
 """Command-line front end: eval, gram, cluster, and experiment presets.
 
-Every command honors --seed and writes artifacts whose bytes depend
-only on the flags, so reruns are diffable.  Exit codes: 0 success,
-2 usage or parse failure, 3 numerical failure (each as the error class's
-``exit_code``), 4 I/O failure.
+Every command writes artifacts whose bytes depend only on the flags,
+so reruns are diffable; ``cluster`` and ``exp`` use --seed, while
+``eval`` and ``gram`` draw nothing at random and ignore it.  Exit code 0
+is success; ``main`` takes every other code from
+:func:`invkern.errors.exit_code`, and argparse exits 2 on a bad flag.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .data import (
     save_dataset,
     top_norm_select,
 )
-from .errors import FormatError, InvkernError, ParseError
+from .errors import FormatError, InvkernError, ParseError, exit_code
 from .figures import heatmap_svg, scatter_svg
 from .invariance import (
     PROJ,
@@ -40,10 +41,6 @@ from .invariance import (
 )
 from .kernels import FAMILIES, BaseKernel
 from .spectral import build_gram, check_psd, cluster_gram, clustering_accuracy
-
-EXIT_OK = 0
-EXIT_IO = 4
-
 
 def _parse_vector(text: str) -> np.ndarray:
     cells = enumerate(text.split(","), start=1)
@@ -132,7 +129,7 @@ def _triple_record(triple) -> dict:
     }
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     if args.input:
         data = load_csv(args.input)
         if len(data) != 2:
@@ -159,16 +156,15 @@ def cmd_eval(args) -> int:
     print(json.dumps(record, sort_keys=True))
     if args.out:
         _write_json(record, _outdir(args) / "eval.json")
-    return EXIT_OK
 
 
-def cmd_gram(args) -> int:
+def cmd_gram(args) -> None:
     data = load_csv(args.input, has_labels=args.labeled)
     spec = _build_spec(args, points=data.points)
     gram = build_gram(data, spec)
+    min_eigenvalue, passed = check_psd(gram)
     out = _outdir(args)
     _write_gram_csv(gram, out / "gram.csv")
-    min_eigenvalue, passed = check_psd(gram)
     _write_json(
         {
             "command": "gram",
@@ -184,7 +180,6 @@ def cmd_gram(args) -> int:
         _write_heatmap(gram, data.labels, out / "gram.svg")
     print(f"gram {len(gram)}x{len(gram)} min_eig {min_eigenvalue:.3e} "
           f"psd {'pass' if passed else 'FAIL'}")
-    return EXIT_OK
 
 
 def _cluster_metrics(result, spec, data) -> dict:
@@ -203,7 +198,6 @@ def _cluster_metrics(result, spec, data) -> dict:
         # Undefined (null) when the Gram sums to exactly zero, as a linear
         # kernel does on points whose sum is the zero vector.
         "entropy_captured": sum(selected) / total if total != 0.0 else None,
-        "degenerate": result.degenerate,
     }
     if FAMILIES[spec.base.family] == "sigma":
         metrics["sigma"] = spec.base.sigma
@@ -212,7 +206,7 @@ def _cluster_metrics(result, spec, data) -> dict:
     return metrics
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> None:
     if args.k < 2:
         raise ParseError("--k must be at least 2")
     data = load_csv(args.input, has_labels=args.labeled)
@@ -231,7 +225,6 @@ def cmd_cluster(args) -> int:
     accuracy = metrics.get("accuracy")
     suffix = f" accuracy {accuracy:.4f}" if accuracy is not None else ""
     print(f"cluster k={args.k} inertia {result.inertia:.6g}{suffix}")
-    return EXIT_OK
 
 
 # Preset bandwidth: a quarter of the median pairwise distance in the
@@ -279,7 +272,7 @@ def _experiment_setup(args):
     return data, spec_inv, spec_base, k, directions
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> None:
     data, spec_inv, spec_base, k, directions = _experiment_setup(args)
     out = _outdir(args)
     save_dataset(data, out / "dataset.csv")
@@ -323,7 +316,6 @@ def cmd_experiment(args) -> int:
               f"baseline accuracy {base_acc:.4f}, gap {inv_acc - base_acc:+.4f}")
     else:
         print(f"experiment {args.name}: done (no ground-truth labels)")
-    return EXIT_OK
 
 
 def _seed(text: str) -> int:
@@ -402,13 +394,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except InvkernError as exc:
+        args.func(args)
+    except (InvkernError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return exit_code(exc)
+    return 0
 
 
 if __name__ == "__main__":

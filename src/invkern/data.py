@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateClusterError, FormatError, ParseError
+from .errors import DegenerateClusterError, FormatError, ParseError, ValidationError
 
 
 @dataclass
@@ -34,11 +34,11 @@ class Dataset:
     def __post_init__(self):
         self.points = np.asarray(self.points)
         if self.points.ndim != 2:
-            raise ValueError("points must be a 2-D array (one row per point)")
+            raise ValidationError("points must be a 2-D array (one row per point)")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if len(self.labels) != len(self.points):
-                raise ValueError("labels length must match point count")
+                raise ValidationError("labels length must match point count")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -52,9 +52,9 @@ def gen_xor(n_per_arm: int, spread: float, seed: int = 0) -> Dataset:
     own class; only a sign-blind method can recover the labels.
     """
     if n_per_arm < 1:
-        raise ValueError("n_per_arm must be at least 1")
+        raise ValidationError("n_per_arm must be at least 1")
     if not spread > 0:
-        raise ValueError("spread must be positive")
+        raise ValidationError("spread must be positive")
     rng = np.random.default_rng(seed)
     corners = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
     points = np.repeat(corners, n_per_arm, axis=0)
@@ -80,11 +80,11 @@ def gen_flipped_blobs(
     flip, so flips are pure nuisance.
     """
     if dim < 2:
-        raise ValueError("dim must be at least 2")
+        raise ValidationError("dim must be at least 2")
     if not separation > 0:
-        raise ValueError("separation must be positive")
+        raise ValidationError("separation must be positive")
     if not 0.0 <= flip_prob <= 1.0:
-        raise ValueError("flip_prob must lie in [0, 1]")
+        raise ValidationError("flip_prob must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
     prototypes = basis.T
@@ -123,9 +123,9 @@ def gen_directions(
     sign-canonical (first nonzero coordinate positive).
     """
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise ValidationError("k must be at least 2")
     if n_points < k:
-        raise ValueError("n_points must be at least k")
+        raise ValidationError("n_points must be at least k")
     angle_offset_deg, mu, s = 10.0, 0.0, 0.75
     rng = np.random.default_rng(seed)
     angles = np.radians(angle_offset_deg + 180.0 * np.arange(k) / k)
@@ -154,7 +154,7 @@ def canonical_direction(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)
     if norm == 0.0:
-        raise ValueError("cannot canonicalize the zero vector")
+        raise ValidationError("cannot canonicalize the zero vector")
     v = v / norm
     for component in v:
         if component != 0.0:
@@ -310,7 +310,7 @@ def save_dataset(data: Dataset, path) -> None:
     Floats are written with repr so a reload reproduces them exactly.
     """
     if np.iscomplexobj(data.points):
-        raise ValueError("CSV export supports real-valued datasets only")
+        raise ValidationError("CSV export supports real-valued datasets only")
     rows = (map(repr, row.tolist()) for row in data.points.astype(float, copy=False))
     if data.labels is not None:
         rows = ([*cells, str(label)] for cells, label in zip(rows, data.labels.tolist()))
@@ -329,7 +329,7 @@ def top_norm_select(data: Dataset, count: int) -> Dataset:
     """
     n = len(data)
     if not 0 <= count <= n:
-        raise ValueError(f"count must be in [0, {n}], got {count}")
+        raise ValidationError(f"count must be in [0, {n}], got {count}")
     norms = np.linalg.norm(data.points, axis=1)
     ranked = np.lexsort((np.arange(n), -norms))
     chosen = np.sort(ranked[:count])
@@ -404,7 +404,7 @@ def estimate_mixing(data, labels, true_directions=None) -> MixingEstimate:
     """
     points = np.asarray(getattr(data, "points", data), dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("mixing estimation expects real 2-D data")
+        raise ValidationError("mixing estimation expects real 2-D data")
     labels = np.asarray(labels, dtype=int)
     k = int(labels.max()) + 1
     directions = np.zeros((k, 2))
@@ -421,7 +421,7 @@ def estimate_mixing(data, labels, true_directions=None) -> MixingEstimate:
     if true_directions is not None:
         truth = np.asarray(true_directions, dtype=float)
         if len(truth) != k:
-            raise ValueError("ground truth must provide one direction per cluster")
+            raise ValidationError("ground truth must provide one direction per cluster")
         angles = np.array(
             [[angle_between_lines_deg(d, t) for t in truth] for d in directions]
         )

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""The package's only exception types, and the one map to CLI exit codes."""
 
 
 class InvkernError(Exception):
@@ -72,3 +72,8 @@ class ParseError(InvkernError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def exit_code(error: InvkernError | OSError) -> int:
+    """The CLI exit status of an invkern error or of a failed read or write."""
+    return error.exit_code if isinstance(error, InvkernError) else 4

@@ -16,6 +16,8 @@ from itertools import groupby
 
 import numpy as np
 
+from .errors import ValidationError
+
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
     "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
@@ -41,7 +43,7 @@ def scatter_svg(points, labels=None, size: int = 480, margin: float = 30.0,
     """SVG scatter of 2-D points, one circle per point, colored by label."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("scatter_svg expects 2-D points")
+        raise ValidationError("scatter_svg expects 2-D points")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
@@ -72,15 +74,15 @@ def heatmap_svg(matrix, size: int = 480) -> str:
     """SVG heatmap, one rect per matrix cell, dark cells for large values.
 
     A value range wider than the largest float is coloured at half scale.
-    Raises ValueError for an empty matrix or a non-finite entry.
+    Raises ValidationError for an empty matrix or a non-finite entry.
     """
     values = np.asarray(matrix, dtype=float)
     if values.ndim != 2:
-        raise ValueError("heatmap_svg expects a 2-D matrix")
+        raise ValidationError("heatmap_svg expects a 2-D matrix")
     if values.size == 0:
-        raise ValueError(f"heatmap_svg expects a non-empty matrix, got shape {values.shape}")
+        raise ValidationError(f"heatmap_svg expects a non-empty matrix, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
-        raise ValueError("heatmap_svg expects finite values")
+        raise ValidationError("heatmap_svg expects finite values")
     n_rows, n_cols = values.shape
     vmin = float(values.min())
     vmax = float(values.max())

@@ -437,12 +437,14 @@ def _checked_values(base: BaseKernel, triple, rows, cols, out=None) -> np.ndarra
 def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
     """Kernel values of every pair of rows of a 2-D point array.
 
-    Entry (i, j) equals eval_kernel(spec, x_i, x_j).  Each row tile of the
-    upper triangle is built in the Gram's own memory by
-    :func:`triple_tiles`, turned into checked base-kernel values in place
-    and copied to its rows; the lower triangle is then mirrored from the
-    upper one, so the result is exactly symmetric.  A non-finite value
-    raises NumericalError naming the pair.
+    Entry (i, j) agrees with eval_kernel(spec, x_i, x_j) up to rounding:
+    the pair path takes the norms from the diagonal of its 2x2 product,
+    the Gram from row-wise sums of |x|^2, and the two can differ in the
+    last bits.  Each row tile of the upper triangle is built in the Gram's
+    own memory by :func:`triple_tiles`, turned into checked base-kernel
+    values in place and copied to its rows; the lower triangle is then
+    mirrored from the upper one, so the result is exactly symmetric.  A
+    non-finite value raises NumericalError naming the pair.
     """
     n = len(points)
     gram = np.empty((n, n))

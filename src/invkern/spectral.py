@@ -48,7 +48,6 @@ class ClusteringResult:
     inertia: float
     seed: int
     entropy_total: float
-    degenerate: bool = False
 
 
 def build_gram(data, spec: KernelSpec) -> np.ndarray:
@@ -60,19 +59,28 @@ def build_gram(data, spec: KernelSpec) -> np.ndarray:
 
 
 def check_psd(gram):
-    """Minimum eigenvalue and whether it clears -1e-8 * max(trace, 1)."""
+    """Minimum eigenvalue and whether it clears -1e-8 * max(trace, 1).
+
+    A trace or eigenvalue that overflows raises NumericalError.
+    """
     gram = np.asarray(gram, dtype=float)
     try:
         eigenvalues = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"eigenvalue computation failed: {err}") from err
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = float(np.trace(gram))
+    if not (np.isfinite(trace) and np.isfinite(eigenvalues).all()):
+        raise NumericalError("the Gram's trace or an eigenvalue overflows")
     min_eigenvalue = float(eigenvalues[0])
-    passed = min_eigenvalue >= -1e-8 * max(float(np.trace(gram)), 1.0)
+    passed = min_eigenvalue >= -1e-8 * max(trace, 1.0)
     return min_eigenvalue, passed
 
 
 def _descending(eigenvalues, vectors) -> EigenDecomposition:
     # The order and sign convention of sym_eig, shared by both solvers.
+    if not np.isfinite(eigenvalues).all():
+        raise NumericalError("an eigenvalue of the Gram overflows")
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
@@ -100,7 +108,8 @@ def sym_eig(gram, n_axes: int | None = None) -> EigenDecomposition:
     that certify the entropy selection of ``n_axes`` axes
     (:func:`truncated_eig`).  The sign convention makes the
     largest-magnitude component of each eigenvector positive, so outputs
-    are reproducible across runs.
+    are reproducible across runs.  An eigenvalue that overflows raises
+    NumericalError.
     """
     gram = np.asarray(gram, dtype=float)
     if n_axes is not None and len(gram) >= LANCZOS_MIN_N:
@@ -158,11 +167,15 @@ def renyi_entropy(gram, eig: EigenDecomposition | None = None):
     Axis i contributes lambda_i * (v_i' 1)^2 / N^2, one value per
     eigenpair of ``eig``.  Over the full decomposition (the default) the
     contributions sum back to the total, which is the conservation law
-    the tests pin; over a truncated one they fall short of it.
+    the tests pin; over a truncated one they fall short of it.  A mass
+    that overflows raises NumericalError.
     """
     gram = np.asarray(gram, dtype=float)
     n = len(gram)
-    total = float(gram.sum()) / n**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(gram.sum()) / n**2
+    if not np.isfinite(total):
+        raise NumericalError("the Gram's entropy mass 1'K1 overflows")
     if eig is None:
         eig = sym_eig(gram)
     return total, _entropy_ranking(eig, n)[0]
@@ -287,7 +300,6 @@ def cluster_gram(gram, k: int, seed: int = 0) -> ClusteringResult:
     total, contributions = renyi_entropy(gram, eig)
     embedding, axes = keca_embed(gram, k, eig)
     labels, inertia = kmeans(embedding, k, seed=seed)
-    degenerate = len(np.unique(labels)) < k
     return ClusteringResult(
         labels=labels,
         embedding=embedding,
@@ -296,7 +308,6 @@ def cluster_gram(gram, k: int, seed: int = 0) -> ClusteringResult:
         inertia=inertia,
         seed=seed,
         entropy_total=total,
-        degenerate=degenerate,
     )
 
 
@@ -314,7 +325,7 @@ def clustering_accuracy(labels, truth) -> float:
     labels = np.asarray(labels).ravel()
     truth = np.asarray(truth).ravel()
     if labels.shape != truth.shape:
-        raise ValueError("labels and truth must have the same length")
+        raise ValidationError("labels and truth must have the same length")
     classes, codes = np.unique(np.concatenate([labels, truth]), return_inverse=True)
     m, n = len(classes), len(labels)
     confusion = np.zeros((m, m), dtype=int)

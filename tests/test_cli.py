@@ -412,7 +412,6 @@ class TestCluster:
         assert code == 0
         labels = (out_dir / "labels.csv").read_text().strip().split("\n")[1:]
         assert sorted({line.split(",")[1] for line in labels}) == ["0", "1", "2", "3"]
-        assert json.loads((out_dir / "metrics.json").read_text())["degenerate"] is False
 
     def test_duplicate_rows_converge(self, capsys, tmp_path, monkeypatch):
         # Splitting duplicates moves a point back and forth between
@@ -571,6 +570,10 @@ def cli_inputs(draw):
 
 
 DUPLICATE_ROWS = [["0.36", "1.30"]] * 3 + [["0.10", "-0.53"]] * 3
+# Linear Grams whose trace, top eigenvalue or entry sum overflows.
+OPPOSITE_HUGE = [["1e154", "0"], ["-1e154", "0"]]
+HUGE_EIGENVALUE = [["1e154", "0"], ["1e154", "1"], ["1.1e154", "0"], ["1.2e154", "3"]]
+HUGE_SUM = [["5.5e153", "0"], ["5.4e153", "0"], ["5.3e153", "1"], ["5.2e153", "0"]]
 DEEP_INV = "chain(" * 1200 + "sign" + ")" * 1200
 
 
@@ -583,6 +586,10 @@ DEEP_INV = "chain(" * 1200 + "sign" + ")" * 1200
 @example(case=(DUPLICATE_ROWS, ["gram", "--input", "{csv}", "--sigma", "1e-170"], 2))
 @example(case=(DUPLICATE_ROWS, ["gram", "--input", "{csv}", "--sigma", "inf"], 2))
 @example(case=(DUPLICATE_ROWS, ["cluster", "--input", "{csv}", "--k", "4", "--sigma", "1"], 0))
+@example(case=(OPPOSITE_HUGE, ["gram", "--input", "{csv}", "--kernel", "linear"], 3))
+@example(case=(OPPOSITE_HUGE, ["cluster", "--input", "{csv}", "--kernel", "linear", "--k", "2"], 3))
+@example(case=(HUGE_EIGENVALUE, ["cluster", "--input", "{csv}", "--kernel", "linear", "--k", "2"], 3))
+@example(case=(HUGE_SUM, ["cluster", "--input", "{csv}", "--kernel", "linear", "--k", "2"], 3))
 def test_no_input_gives_a_traceback(case):
     # Every run returns a documented exit code: no exception escapes, nothing warns.
     rows, argv, expected = case

@@ -153,3 +153,36 @@ def test_cli_has_no_sigma_fallback_by_or():
         and any(ast.unparse(v) == "args.sigma" for v in node.values)
     ]
     assert offenders == []
+
+
+def test_the_package_raises_only_its_own_errors():
+    # Every failure is an errors.py class, so errors.py alone maps it to an
+    # exit code.  argparse.ArgumentTypeError is argparse's protocol for a bad
+    # flag value, and only cli._seed uses it.
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    own = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc) not in own:
+                    foreign.append(f"{path.name}: {ast.unparse(exc)}")
+    assert foreign == ["cli.py: argparse.ArgumentTypeError"]
+    assert functions_naming("ArgumentTypeError") == {"cli._seed"}
+
+
+def test_only_errors_assigns_exit_codes():
+    # One owner of the non-zero exit codes: no EXIT_* constant or exit_code
+    # attribute outside errors.py.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
+            name = getattr(node, "id", None) or getattr(node, "attr", "")
+            if name.startswith("EXIT_") or name == "exit_code":
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
