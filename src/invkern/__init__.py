@@ -28,7 +28,6 @@ from .invariance import (
     PROJ,
     SCALE,
     SIGN,
-    ChainCompatibilityWarning,
     Invariance,
     InvarianceReport,
     KernelSpec,

@@ -341,14 +341,19 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_io_flags(parser: argparse.ArgumentParser, input_required: bool) -> None:
+def _add_seed_flag(parser: argparse.ArgumentParser, used: bool) -> None:
+    help_text = "random seed (default 0)" if used else "unused; kept for uniformity"
+    parser.add_argument("--seed", type=_seed, default=0, help=help_text)
+
+
+def _add_io_flags(parser: argparse.ArgumentParser, input_required: bool, seed_used: bool) -> None:
     parser.add_argument("--input", required=input_required, help="input dataset CSV")
     parser.add_argument(
         "--labeled", action="store_true",
         help="treat the last CSV column as integer labels",
     )
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
+    _add_seed_flag(parser, seed_used)
     parser.add_argument("--svg", action="store_true", help="also write SVG figures")
 
 
@@ -365,24 +370,24 @@ def _parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--y", help="second point, e.g. 0,1")
     p_eval.add_argument("--input", default=None, help="2-row CSV instead of --x/--y")
     p_eval.add_argument("--out", default=None, help="optional output directory")
-    p_eval.add_argument("--seed", type=_seed, default=0, help="unused; kept for uniformity")
+    _add_seed_flag(p_eval, used=False)
     p_eval.set_defaults(func=cmd_eval)
 
     p_gram = sub.add_parser("gram", help="Gram matrix, PSD report, heatmap")
     _add_kernel_flags(p_gram)
-    _add_io_flags(p_gram, input_required=True)
+    _add_io_flags(p_gram, input_required=True, seed_used=False)
     p_gram.set_defaults(func=cmd_gram)
 
     p_cluster = sub.add_parser("cluster", help="spectral clustering of a CSV dataset")
     _add_kernel_flags(p_cluster)
-    _add_io_flags(p_cluster, input_required=True)
+    _add_io_flags(p_cluster, input_required=True, seed_used=True)
     p_cluster.add_argument("--k", type=int, required=True, help="number of clusters")
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_exp = sub.add_parser("exp", help="run a preset experiment with its baseline")
     p_exp.add_argument("name", choices=("xor", "digits", "flutes"), help="preset name")
     p_exp.add_argument("--sigma", type=float, default=None, help="override bandwidth")
-    _add_io_flags(p_exp, input_required=False)
+    _add_io_flags(p_exp, input_required=False, seed_used=True)
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser

@@ -29,6 +29,11 @@ _HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _CLOSER = '"/>\n'
 _CLOSING = "</svg>\n"
 
+# The scatter plot's side and margin in pixels, and each point's radius.
+_SCATTER_SIZE = 480
+_SCATTER_MARGIN = 30.0
+_POINT_RADIUS = 3.5
+
 # Heatmap rows filled from their template at once; bounds the colour
 # temporaries to this many rows of cells.
 _CHUNK_ROWS = 64
@@ -38,8 +43,7 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def scatter_svg(points, labels=None, size: int = 480, margin: float = 30.0,
-                radius: float = 3.5) -> str:
+def scatter_svg(points, labels=None) -> str:
     """SVG scatter of 2-D points, one circle per point, colored by label."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -47,6 +51,7 @@ def scatter_svg(points, labels=None, size: int = 480, margin: float = 30.0,
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
+    size, margin = _SCATTER_SIZE, _SCATTER_MARGIN
     inner = size - 2 * margin
 
     def to_px(p):
@@ -63,7 +68,7 @@ def scatter_svg(points, labels=None, size: int = 480, margin: float = 30.0,
         color = PALETTE[int(labels[i]) % len(PALETTE)] if labels is not None else PALETTE[0]
         x, y = to_px(p)
         parts.append(
-            f'<circle class="pt" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{radius}" '
+            f'<circle class="pt" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_POINT_RADIUS}" '
             f'fill="{color}" fill-opacity="0.8"/>'
         )
     parts.append("</svg>")

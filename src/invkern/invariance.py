@@ -12,7 +12,6 @@ without ever materializing the quotient features.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,21 +29,18 @@ from .kernels import FAMILIES, BaseKernel, ScalarTriple, base_values, squared_di
 
 KINDS = ("rotation", "phase", "scale", "proj", "chain")
 
-# Chained pairs whose composed quotient is known to be well behaved.
-# Other combinations still evaluate but may collapse all orbits.
-_VALIDATED_PAIRS = frozenset(
-    {frozenset(("scale", "rotation")), frozenset(("scale", "phase"))}
-)
-
+# Nesting limit of the --inv text grammar, a leaf counting as one level.
+# parse_invariance checks it while scanning, before it recurses, so a text
+# of 1200 nested chain( fails with a ParseError, not a RecursionError.
 _MAX_CHAIN_DEPTH = 4
 
 # Rows of the triple field rewritten at once.  Bounds the temporaries of
 # the rewrite and of the base kernel to TILE_ROWS x N values.
 TILE_ROWS = 128
 
-
-class ChainCompatibilityWarning(UserWarning):
-    """Chained invariances outside the validated pairs may trivialize."""
+# check_invariance's pass threshold, relative to the largest kernel
+# magnitude seen, floored at 1.
+INVARIANCE_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,11 @@ class Invariance:
 
     Kinds: ``rotation`` (multiplication by m-th roots of unity, m=2 is
     sign invariance), ``phase`` (unit complex factors), ``scale``
-    (positive factors), ``proj`` (any nonzero factor), ``chain``.
+    (positive factors), ``proj`` (any nonzero factor), ``chain``.  A
+    chain holds its atomic stages in order: nested chains flatten, so
+    ``chain(chain(a, b), c) == chain(a, b, c)``.  Every group acts by
+    scalar multiplication, so a chain is the quotient by the product of
+    its stages' groups.
     """
 
     kind: str
@@ -65,51 +65,24 @@ class Invariance:
             raise ValidationError(f"unknown invariance kind {self.kind!r}")
         if self.kind == "rotation" and self.m < 2:
             raise ValidationError("rotation order m must be at least 2")
+        if self.kind != "rotation" and self.m != 0:
+            raise ValidationError(f"{self.kind} invariance takes no rotation order m={self.m}")
+        if self.kind != "chain" and self.parts:
+            raise ValidationError(f"{self.kind} invariance takes no chain parts")
         if self.kind == "chain":
-            object.__setattr__(self, "parts", tuple(self.parts))
-            if not self.parts:
+            parts = tuple(self.parts)
+            if not parts:
                 raise ValidationError("chain must contain at least one invariance")
-            if any(not isinstance(p, Invariance) for p in self.parts):
+            if any(not isinstance(p, Invariance) for p in parts):
                 raise ValidationError("chain parts must be Invariance instances")
-            if _depth(self) > _MAX_CHAIN_DEPTH:
-                raise ValidationError(f"chain nesting deeper than {_MAX_CHAIN_DEPTH}")
-            _warn_if_unvalidated(self)
+            object.__setattr__(self, "parts", tuple(s for p in parts for s in _stages(p)))
 
 
-def _depth(spec: Invariance) -> int:
-    if spec.kind != "chain":
-        return 1
-    return 1 + max(_depth(p) for p in spec.parts)
-
-
-def _flatten(spec: Invariance | None) -> list:
+def _stages(spec: Invariance | None) -> tuple:
+    # The atomic stages of an invariance, in order: a chain's parts, else itself.
     if spec is None:
-        return []
-    if spec.kind != "chain":
-        return [spec]
-    out = []
-    for part in spec.parts:
-        out.extend(_flatten(part))
-    return out
-
-
-def _warn_if_unvalidated(spec: Invariance) -> None:
-    kinds = [p.kind for p in _flatten(spec)]
-    if len(kinds) < 2:
-        return
-    duplicated = len(set(kinds)) < len(kinds)
-    unvalidated = any(
-        frozenset((a, b)) not in _VALIDATED_PAIRS
-        for i, a in enumerate(kinds)
-        for b in kinds[i + 1 :]
-    )
-    if duplicated or unvalidated:
-        warnings.warn(
-            f"chain {kinds} is outside the validated combinations; "
-            "the composed quotient may collapse all orbits to one point",
-            ChainCompatibilityWarning,
-            stacklevel=3,
-        )
+        return ()
+    return spec.parts if spec.kind == "chain" else (spec,)
 
 
 def rotation(m: int) -> Invariance:
@@ -274,7 +247,7 @@ def _squared_modulus(sxy, out=None):
 
 def _check_field(spec: Invariance | None, complex_data: bool) -> None:
     # Root-of-unity actions with m >= 3 move real vectors out of R^n.
-    if not complex_data and any(p.kind == "rotation" and p.m >= 3 for p in _flatten(spec)):
+    if not complex_data and any(p.kind == "rotation" and p.m >= 3 for p in _stages(spec)):
         raise FieldError("rotation invariance with m >= 3 requires complex data")
 
 
@@ -288,7 +261,7 @@ def _triple_field(points, spec: Invariance | None, ids):
     # Overflow and NaN are reported as a NumericalError by _rewrite, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.real(np.einsum("...i,...i->...", points, points.conj()))
-    if any(p.kind in ("scale", "proj") for p in _flatten(spec)):
+    if any(p.kind in ("scale", "proj") for p in _stages(spec)):
         zero = norms == 0.0
         if np.any(zero):
             raise ZeroVectorError(
@@ -505,14 +478,13 @@ def check_invariance(
     n_group_samples: int = 16,
     seed: int = 0,
     group: Invariance | None = None,
-    tolerance: float = 1e-10,
 ) -> InvarianceReport:
     """Test k(g.x, h.y) == k(x, y) on random pairs and group elements.
 
     ``group`` defaults to the spec's own invariance; passing a different
     group turns this into a falsifier for kernels that should *not* be
-    invariant.  The pass threshold is ``tolerance`` relative to the
-    largest kernel magnitude seen, floored at 1.  Errors name rows of
+    invariant.  The pass threshold is ``INVARIANCE_TOLERANCE`` relative to
+    the largest kernel magnitude seen, floored at 1.  Errors name rows of
     ``samples``; a kernel value that overflows raises NumericalError.
 
     Known false failure: a Laplace base with a scale, proj or chained
@@ -527,7 +499,7 @@ def check_invariance(
     if group is None:
         group = spec.invariance
     if group is None:
-        return InvarianceReport(True, 0.0, tolerance, tolerance, 0.0, 0)
+        return InvarianceReport(True, 0.0, INVARIANCE_TOLERANCE, INVARIANCE_TOLERANCE, 0.0, 0)
     rng = np.random.default_rng(seed)
     complex_field = np.iscomplexobj(points)
 
@@ -545,9 +517,9 @@ def check_invariance(
     )
     max_dev = float(np.max(np.abs(moved - plain)))
     scale = float(np.max(np.abs([plain, moved])))
-    threshold = tolerance * max(1.0, scale)
+    threshold = INVARIANCE_TOLERANCE * max(1.0, scale)
     return InvarianceReport(
-        max_dev <= threshold, max_dev, threshold, tolerance, scale, n_group_samples
+        max_dev <= threshold, max_dev, threshold, INVARIANCE_TOLERANCE, scale, n_group_samples
     )
 
 

@@ -107,11 +107,21 @@ class TestEval:
         (("--sigma", "1", "--inv", "chain(chain(chain(chain(scale,sign),sign),sign),sign)"),
          "nesting deeper"),
     ])
-    @pytest.mark.filterwarnings("ignore::invkern.ChainCompatibilityWarning")
     def test_invalid_kernel_parameter_exits_2(self, capsys, flags, message):
         code, _, err = run(capsys, "eval", *flags, "--x", "1,2", "--y", "3,4")
         assert code == 2
         assert message in err
+
+    def test_any_chain_evaluates_without_a_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "eval", "--kernel", "linear", "--inv", "chain(sign,proj)",
+                "--x", "1,2", "--y", "3,4",
+            )
+        assert code == 0
+        assert float(out.split()[0]) == pytest.approx(121**2 / (25 * 625))
+        assert err == ""
 
     def test_writes_json_record(self, capsys, tmp_path):
         out_dir = tmp_path / "record"
@@ -144,6 +154,17 @@ class TestEval:
 
 
 class TestGram:
+    @pytest.mark.parametrize("command, seed_help", [
+        ("gram", "unused; kept for uniformity"),
+        ("eval", "unused; kept for uniformity"),
+        ("cluster", "random seed (default 0)"),
+        ("exp", "random seed (default 0)"),
+    ])
+    def test_help_says_whether_the_seed_is_used(self, capsys, command, seed_help):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert f"--seed SEED {seed_help}" in " ".join(out.split())
+
     def test_artifacts_and_roundtrip(self, capsys, tmp_path):
         data = gen_xor(4, 0.1, seed=1)
         csv_path = tmp_path / "pts.csv"

@@ -1,5 +1,6 @@
 """Invariance, invariant inner kernels, and combined-kernel tests."""
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -13,7 +14,6 @@ from invkern import (
     PROJ,
     SCALE,
     SIGN,
-    ChainCompatibilityWarning,
     Invariance,
     InvarianceReport,
     KernelSpec,
@@ -25,6 +25,7 @@ from invkern import (
     gaussian,
     invariant_inner,
     kernel_label,
+    kernel_matrix,
     kernel_triple,
     laplace,
     linear,
@@ -37,7 +38,7 @@ from invkern import (
     transform_triples,
 )
 from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_select
-from invkern.errors import FieldError, ParseError, ZeroVectorError
+from invkern.errors import FieldError, ParseError, ValidationError, ZeroVectorError
 from invkern.kernels import base_values, squared_distance
 from oracles import OracleSizeError, frobenius_inner, median_distance, quotient_map_oracle
 
@@ -343,6 +344,9 @@ class TestQuotientOracle:
                 assert abs(trick - explicit) <= 1e-9 * (1 + abs(trick))
 
 
+TWO_STAGE_CHAINS = list(itertools.product((SIGN, rotation(3), PHASE, SCALE, PROJ), repeat=2))
+
+
 class TestChains:
     def test_commutes_and_matches_proj_on_real_data(self):
         rng = np.random.default_rng(19)
@@ -358,29 +362,71 @@ class TestChains:
             assert abs(a - b) <= 1e-12
             assert abs(a - c) <= 1e-12
 
-    def test_unvalidated_chain_warns(self):
-        with pytest.warns(ChainCompatibilityWarning):
-            chain(SIGN, SIGN)
-        with pytest.warns(ChainCompatibilityWarning):
-            chain(SIGN, PHASE)
-
     def test_validated_chain_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            chain(SCALE, SIGN)
-            chain(PHASE, SCALE)
+        # Every two-stage chain is a quotient by a product of scalar groups:
+        # none warns, and none collapses random points, which lie on distinct
+        # lines, on any field the chain accepts.
+        rng = np.random.default_rng(47)
+        complex_field, real_field = complex_points(rng, 12, 3), rng.standard_normal((12, 3))
+        off_diagonal = ~np.eye(12, dtype=bool)
+        for a, b in TWO_STAGE_CHAINS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                spec = chain(a, b)
+            assert spec.parts == (a, b)
+            fields = [complex_field] if rotation(3) in spec.parts else [complex_field, real_field]
+            for points in fields:
+                gram = kernel_matrix(points, KernelSpec(linear(), spec))
+                sums = np.add.outer(np.diag(gram), np.diag(gram))
+                relative_d2 = (sums - 2 * gram) / sums
+                assert relative_d2[off_diagonal].min() > 1e-6, format_invariance(spec)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             chain()
 
     def test_depth_limit(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ChainCompatibilityWarning)
-            deep = chain(SCALE, chain(SIGN, chain(SCALE, SIGN)))  # depth 4: allowed
-            assert deep.kind == "chain"
-            with pytest.raises(ValueError):
-                chain(SCALE, chain(SIGN, chain(SCALE, chain(SIGN, SCALE))))
+        deep = chain(SCALE, chain(SIGN, chain(SCALE, SIGN)))
+        assert deep.kind == "chain"
+        assert chain(SCALE, chain(SIGN, chain(SCALE, chain(SIGN, SCALE)))) == chain(
+            SCALE, SIGN, SCALE, SIGN, SCALE
+        )
+
+    @pytest.mark.parametrize("nested,flat,text,complex_field", [
+        (chain(chain(SCALE, SIGN), PHASE), chain(SCALE, SIGN, PHASE), "chain(scale,sign,phase)",
+         True),
+        (chain(SIGN, chain(SCALE, PROJ)), chain(SIGN, SCALE, PROJ), "chain(sign,scale,proj)",
+         False),
+    ])
+    def test_nested_chain_is_its_flat_form(self, nested, flat, text, complex_field):
+        assert nested == flat
+        assert format_invariance(nested) == format_invariance(flat) == text
+        assert kernel_label(KernelSpec(linear(), nested)) == f"linear+{text}"
+        rng = np.random.default_rng(53)
+        points = complex_points(rng, 9, 3) if complex_field else rng.standard_normal((9, 3))
+        spec_nested, spec_flat = KernelSpec(gaussian(1.3), nested), KernelSpec(gaussian(1.3), flat)
+        grams = [kernel_matrix(points, spec) for spec in (spec_nested, spec_flat)]
+        assert grams[0].tobytes() == grams[1].tobytes()
+        draws = [
+            [sample_group_element(inv, np.random.default_rng(5), complex_field) for _ in range(3)]
+            for inv in (nested, flat)
+        ]
+        assert draws[0] == draws[1]
+        assert check_invariance(spec_nested, points, 8, seed=2) == check_invariance(
+            spec_flat, points, 8, seed=2
+        )
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "scale", "m": 5},
+        {"kind": "chain", "m": 3, "parts": (SIGN,)},
+        {"kind": "proj", "parts": (SIGN,)},
+        {"kind": "rotation", "m": 3, "parts": (SIGN,)},
+    ])
+    def test_fields_the_kind_does_not_read_are_rejected(self, kwargs):
+        # Such a spec would compute another kernel than it names, and its
+        # text form would parse back to something else.
+        with pytest.raises(ValidationError):
+            Invariance(**kwargs)
 
 
 class TestCheckInvariance:

@@ -186,3 +186,12 @@ def test_only_errors_assigns_exit_codes():
             if name.startswith("EXIT_") or name == "exit_code":
                 offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
+
+
+def test_one_invariance_model():
+    # A chain is the flat tuple of its stages: no compatibility warning and
+    # no programmatic nesting depth.
+    names = {"ChainCompatibilityWarning", "_VALIDATED_PAIRS", "_warn_if_unvalidated", "_depth"}
+    assert definitions_of(names) == []
+    assert not hasattr(invkern, "ChainCompatibilityWarning")
+    assert functions_naming("warn") == set()
