@@ -59,6 +59,7 @@ from .kernels import (
 from .spectral import (
     ClusteringResult,
     EigenDecomposition,
+    PsdReport,
     build_gram,
     check_psd,
     cluster_gram,

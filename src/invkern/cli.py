@@ -162,7 +162,7 @@ def cmd_gram(args) -> None:
     data = load_csv(args.input, has_labels=args.labeled)
     spec = _build_spec(args, points=data.points)
     gram = build_gram(data, spec)
-    min_eigenvalue, passed = check_psd(gram)
+    psd = check_psd(gram)
     out = _outdir(args)
     _write_gram_csv(gram, out / "gram.csv")
     _write_json(
@@ -170,16 +170,16 @@ def cmd_gram(args) -> None:
             "command": "gram",
             "kernel": kernel_label(spec),
             "n_points": len(gram),
-            "min_eigenvalue": min_eigenvalue,
-            "trace": float(np.trace(gram)),
-            "passed": passed,
+            "min_eigenvalue": psd.min_eigenvalue,
+            "trace": psd.trace,
+            "passed": psd.passed,
         },
         out / "psd.json",
     )
     if args.svg:
         _write_heatmap(gram, data.labels, out / "gram.svg")
-    print(f"gram {len(gram)}x{len(gram)} min_eig {min_eigenvalue:.3e} "
-          f"psd {'pass' if passed else 'FAIL'}")
+    print(f"gram {len(gram)}x{len(gram)} min_eig {psd.min_eigenvalue:.3e} "
+          f"psd {'pass' if psd.passed else 'FAIL'}")
 
 
 def _cluster_metrics(result, spec, data) -> dict:

@@ -12,6 +12,7 @@ without ever materializing the quotient features.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,9 @@ class Invariance:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown invariance kind {self.kind!r}")
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise ValidationError(f"rotation order m must be an integer, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         if self.kind == "rotation" and self.m < 2:
             raise ValidationError("rotation order m must be at least 2")
         if self.kind != "rotation" and self.m != 0:
@@ -87,7 +91,7 @@ def _stages(spec: Invariance | None) -> tuple:
 
 def rotation(m: int) -> Invariance:
     """Invariance under multiplication by the m-th roots of unity."""
-    return Invariance("rotation", m=int(m))
+    return Invariance("rotation", m=m)
 
 
 def chain(*parts: Invariance) -> Invariance:

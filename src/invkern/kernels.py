@@ -8,6 +8,7 @@ triple without touching the kernel formulas themselves.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,17 @@ class BaseKernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown kernel family {self.family!r}")
+        # bool is an int subclass, but a flag is neither a bandwidth nor an exponent.
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
+            raise ValidationError(f"sigma must be a real number, got {self.sigma!r}")
+        if isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral):
+            raise ValidationError(f"degree must be an integer, got {self.degree!r}")
+        # Kept as Python scalars, so a numpy scalar computes in float64.
+        try:
+            object.__setattr__(self, "sigma", float(self.sigma))
+        except OverflowError:
+            raise ValidationError(f"sigma {self.sigma} is beyond the float range") from None
+        object.__setattr__(self, "degree", int(self.degree))
         reads = FAMILIES[self.family]
         # 2 sigma^2 by products: sigma**2 raises OverflowError on a large float.
         if reads == "sigma" and not (
@@ -53,22 +65,22 @@ def linear() -> BaseKernel:
 
 def gaussian(sigma: float = 1.0) -> BaseKernel:
     """Gaussian RBF kernel exp(-||x-y||^2 / (2 sigma^2))."""
-    return BaseKernel("gaussian", sigma=float(sigma))
+    return BaseKernel("gaussian", sigma=sigma)
 
 
 def laplace(sigma: float = 1.0) -> BaseKernel:
     """Laplace RBF kernel exp(-||x-y|| / sigma)."""
-    return BaseKernel("laplace", sigma=float(sigma))
+    return BaseKernel("laplace", sigma=sigma)
 
 
 def poly(degree: int = 2) -> BaseKernel:
     """Inhomogeneous polynomial kernel (<x,y> + 1)^degree."""
-    return BaseKernel("poly", degree=int(degree))
+    return BaseKernel("poly", degree=degree)
 
 
 def polyhom(degree: int = 2) -> BaseKernel:
     """Homogeneous polynomial kernel <x,y>^degree."""
-    return BaseKernel("polyhom", degree=int(degree))
+    return BaseKernel("polyhom", degree=degree)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from .errors import DegenerateEmbeddingError, NumericalError, ValidationError
 from .invariance import KernelSpec, kernel_matrix
 
 # Point count from which clustering computes only the certified top
-# eigenpairs.  Measured crossover in a fresh process, where the truncated
-# path also pays the one-off scipy import (about 0.25 s): dense eigh wins
-# up to about 1250 points, Lanczos from 1500 on (see README).
+# eigenpairs.  Set when the truncated path also paid a scipy import; the
+# numpy Lanczos now beats dense eigh from a few hundred points on (see
+# README), but a lower threshold would change the bits of smaller runs.
 LANCZOS_MIN_N = 1500
 
 # k-means restarts (best inertia wins) and the Lloyd iteration cap of each.
@@ -58,8 +58,18 @@ def build_gram(data, spec: KernelSpec) -> np.ndarray:
     return kernel_matrix(points, spec)
 
 
-def check_psd(gram):
-    """Minimum eigenvalue and whether it clears -1e-8 * max(trace, 1).
+@dataclass(frozen=True)
+class PsdReport:
+    """Outcome of :func:`check_psd` for one Gram matrix."""
+
+    min_eigenvalue: float
+    passed: bool
+    trace: float
+
+
+def check_psd(gram) -> PsdReport:
+    """Minimum eigenvalue, the trace, and whether the minimum clears
+    -1e-8 * max(trace, 1).
 
     A trace or eigenvalue that overflows raises NumericalError.
     """
@@ -73,8 +83,7 @@ def check_psd(gram):
     if not (np.isfinite(trace) and np.isfinite(eigenvalues).all()):
         raise NumericalError("the Gram's trace or an eigenvalue overflows")
     min_eigenvalue = float(eigenvalues[0])
-    passed = min_eigenvalue >= -1e-8 * max(trace, 1.0)
-    return min_eigenvalue, passed
+    return PsdReport(min_eigenvalue, min_eigenvalue >= -1e-8 * max(trace, 1.0), trace)
 
 
 def _descending(eigenvalues, vectors) -> EigenDecomposition:
@@ -125,21 +134,88 @@ def _entropy_ranking(eig: EigenDecomposition, n: int):
     return contributions, np.lexsort((-eig.eigenvalues, -contributions))
 
 
+# Lanczos tolerance for residuals and breakdowns, relative to |theta_1|.  The
+# tridiagonal is diagonalized every 1 + j // _CHECK_SPACING steps, and the
+# run gives up after 16 steps per wanted pair plus 64: the Grams measured
+# settled within 10 per pair.
+_RITZ_TOL = 64 * np.finfo(float).eps
+_CHECK_SPACING = 16
+_LANCZOS_STEPS_PER_PAIR = 16
+_LANCZOS_SLACK = 64
+
+
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    # Two classical Gram-Schmidt passes against the rows of basis, in place:
+    # the second removes what rounding left after the first.
+    for _ in range(2):
+        w -= (basis @ w) @ basis
+    return w
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _lanczos(gram: np.ndarray, m: int, v0: np.ndarray) -> EigenDecomposition | None:
+    """Top ``m`` eigenpairs by Lanczos from ``v0``, or None if they do not settle.
+
+    Single-vector Lanczos with full reorthogonalization (two Gram-Schmidt
+    passes per step).  From step m on, the top ``m`` Ritz pairs of the
+    tridiagonal T_j are accepted once every residual |beta_j s_ji| is at
+    most _RITZ_TOL * |theta_1|, theta_1 the Ritz value largest in
+    magnitude.  A breakdown means the basis spans an invariant subspace,
+    which holds one vector of each eigenspace the start touched: Lanczos
+    goes on from a fixed-seed random vector orthogonal to the basis, as
+    ARPACK does, so the rest of the spectrum stays reachable.  When that
+    fresh vector breaks down at once, the rest of the spectrum is one
+    repeated eigenvalue (the null space of a low-rank Gram, or the whole
+    identity) whose eigenvectors only a dense solve fixes, and the result
+    is None, as it is when the step budget runs out first or a value
+    overflows.
+    """
+    n = len(gram)
+    steps = min(n, _LANCZOS_STEPS_PER_PAIR * m + _LANCZOS_SLACK)
+    basis = np.empty((steps, n))
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    basis[0] = v0 / np.linalg.norm(v0)
+    fresh = np.random.default_rng(1)
+    restarted, norm, check = False, 0.0, m
+    for j in range(steps):
+        done = basis[: j + 1]
+        w = gram @ basis[j]
+        alpha[j] = basis[j] @ w
+        beta[j] = np.linalg.norm(_orthogonalize(w, done))
+        if not np.isfinite(alpha[j] + beta[j]):
+            return None  # the Gram overflows; the dense solve reports it
+        # Gershgorin bound on |theta_1|, cheaper than diagonalizing T_j.
+        norm = max(norm, abs(alpha[j]) + beta[j] + (beta[j - 1] if j else 0.0))
+        breakdown = beta[j] <= _RITZ_TOL * norm
+        last = j + 1 == steps or (breakdown and restarted)
+        if j + 1 >= m and (j + 1 >= check or last):
+            check = j + 2 + j // _CHECK_SPACING
+            tridiagonal = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            theta, s = np.linalg.eigh(tridiagonal)
+            tol = _RITZ_TOL * max(abs(theta[0]), abs(theta[-1]))
+            if np.all(beta[j] * np.abs(s[-1, -m:]) <= tol):
+                return _descending(theta[-m:], done.T @ s[:, -m:])
+        if last:
+            return None
+        restarted = breakdown
+        if breakdown:
+            w = _orthogonalize(fresh.standard_normal(n), done)
+            beta[j] = 0.0
+        basis[j + 1] = w / np.linalg.norm(w)
+
+
 def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     """Top M eigenpairs, enough to select ``n_axes`` entropy axes exactly.
 
-    Lanczos (``eigsh``) computes the top M = 2 * n_axes eigenpairs, and M
-    doubles until a certificate holds: an axis that was not computed
-    contributes at most max(lambda_M, 0) / N, since (v'1)^2 <= N, so once
-    the n_axes-th largest computed contribution exceeds that bound (by a
-    relative 1e-9 for solver tolerance) the selection equals the dense
-    one.  When M would pass N/2 uncertified, or Lanczos fails, the result
-    is the dense decomposition.  Order and signs follow :func:`sym_eig`.
+    Lanczos (:func:`_lanczos`) computes the top M = 2 * n_axes
+    eigenpairs, and M doubles until a certificate holds: an axis that was
+    not computed contributes at most max(lambda_M, 0) / N, since
+    (v'1)^2 <= N, so once the n_axes-th largest computed contribution
+    exceeds that bound (by a relative 1e-9 for solver tolerance) the
+    selection equals the dense one.  When M would pass N/2 uncertified,
+    or Lanczos does not settle (:func:`_lanczos`), the result is the
+    dense decomposition.  Order and signs follow :func:`sym_eig`.
     """
-    # Imported here: scipy adds about 0.25 s to every fresh process, and
-    # only clustering at N >= LANCZOS_MIN_N needs it.
-    from scipy.sparse.linalg import ArpackError, eigsh
-
     gram = np.asarray(gram, dtype=float)
     n = len(gram)
     if not 1 <= n_axes <= n:
@@ -149,9 +225,8 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     v0 = np.random.default_rng(0).standard_normal(n)
     m = 2 * n_axes
     while m <= n // 2:
-        try:
-            eig = _descending(*eigsh(gram, k=m, which="LA", v0=v0))
-        except ArpackError:
+        eig = _lanczos(gram, m, v0)
+        if eig is None:
             break
         bound = max(eig.eigenvalues[-1], 0.0) / n
         contributions, order = _entropy_ranking(eig, n)

@@ -210,9 +210,9 @@ def test_criterion_04_positive_semidefiniteness():
     for inv, pts in combos:
         for base in bases:
             gram = build_gram(pts, KernelSpec(base, inv))
-            min_eig, passed = check_psd(gram)
-            if not passed:
-                failures.append((inv.kind, base.family, min_eig))
+            psd = check_psd(gram)
+            if not psd.passed:
+                failures.append((inv.kind, base.family, psd.min_eigenvalue))
     elapsed = perf_counter() - start
     ok = not failures and elapsed < 10.0
     _report(4, "Gram positive semidefiniteness", ok, elapsed)

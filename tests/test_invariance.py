@@ -428,6 +428,23 @@ class TestChains:
         with pytest.raises(ValidationError):
             Invariance(**kwargs)
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, "3", None])
+    def test_rotation_order_must_be_an_integer(self, m):
+        # 2.5 and 3.0 used to construct and then fail in the group power.
+        with pytest.raises(ValidationError, match="must be an integer"):
+            Invariance("rotation", m=m)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            rotation(m)
+
+    def test_numpy_integer_rotation_order(self):
+        spec = Invariance("rotation", m=np.int64(3))
+        assert spec == rotation(3) and type(spec.m) is int
+        assert format_invariance(spec) == "rot:3"
+        x, y = np.array([1.0 + 1.0j, 0.5]), np.array([-1.0 + 0.2j, 2.0])
+        assert eval_kernel(KernelSpec(gaussian(1.0), spec), x, y) == eval_kernel(
+            KernelSpec(gaussian(1.0), rotation(3)), x, y
+        )
+
 
 class TestCheckInvariance:
     def test_no_invariance_is_trivially_invariant(self):

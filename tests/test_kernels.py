@@ -216,6 +216,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             poly(0)
 
+    @pytest.mark.parametrize("sigma", ["1", True, None, 1 + 0j])
+    def test_sigma_must_be_a_real_number(self, sigma):
+        # "1" used to raise a bare TypeError in the positivity check.
+        for family in ("gaussian", "laplace", "linear"):
+            with pytest.raises(ValidationError, match="sigma must be a real number"):
+                BaseKernel(family, sigma=sigma)
+
+    @pytest.mark.parametrize("degree", [2.5, 2.0, True, "2", None])
+    def test_degree_must_be_an_integer(self, degree):
+        # 2.5 used to construct and then report a NaN as an overflow.
+        for family in ("poly", "polyhom", "linear"):
+            with pytest.raises(ValidationError, match="degree must be an integer"):
+                BaseKernel(family, degree=degree)
+
+    def test_sigma_beyond_float_range(self):
+        with pytest.raises(ValidationError, match="beyond the float range"):
+            BaseKernel("gaussian", sigma=10**400)
+
+    def test_numpy_scalars_become_python_scalars(self):
+        kernel = BaseKernel("gaussian", sigma=np.float32(0.1))
+        assert type(kernel.sigma) is float and kernel.sigma == float(np.float32(0.1))
+        assert type(BaseKernel("gaussian", sigma=2).sigma) is float
+        degree = BaseKernel("poly", degree=np.int64(3)).degree
+        assert type(degree) is int and degree == 3
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             BaseKernel("sigmoid")

@@ -195,3 +195,23 @@ def test_one_invariance_model():
     assert definitions_of(names) == []
     assert not hasattr(invkern, "ChainCompatibilityWarning")
     assert functions_naming("warn") == set()
+
+
+def test_the_package_imports_no_scipy():
+    # Every BLAS call goes through numpy's one OpenBLAS: scipy ships its own,
+    # and two thread pools in one process take cores from each other.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders.extend(
+                f"{path.name}:{node.lineno} imports {module}"
+                for module in modules
+                if module.split(".")[0] == "scipy"
+            )
+    assert offenders == []

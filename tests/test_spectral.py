@@ -1,5 +1,6 @@
 """Gram construction, eigenanalysis, entropy, and clustering tests."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from invkern import (
     SCALE,
     SIGN,
     KernelSpec,
+    PsdReport,
     build_gram,
     chain,
     check_psd,
@@ -33,11 +35,17 @@ from invkern import (
     polyhom,
     renyi_entropy,
     rotation,
+    save_dataset,
     spectral_cluster,
     sym_eig,
     truncated_eig,
 )
-from invkern.errors import DegenerateEmbeddingError, ValidationError, ZeroVectorError
+from invkern.errors import (
+    DegenerateEmbeddingError,
+    NumericalError,
+    ValidationError,
+    ZeroVectorError,
+)
 from invkern.invariance import TILE_ROWS
 from invkern.spectral import LANCZOS_MIN_N, _entropy_ranking
 from oracles import make_triple
@@ -216,17 +224,18 @@ def test_grams_are_symmetric_and_psd(points):
         for base in BASES:
             gram = kernel_matrix(pts, KernelSpec(base, inv))
             assert np.array_equal(gram, gram.T), (inv_name, base)
-            assert check_psd(gram)[1], (inv_name, base)
+            assert check_psd(gram).passed, (inv_name, base)
 
 
 class TestCheckPsd:
     def test_identity(self):
-        assert check_psd(np.eye(3)) == (1.0, True)
+        assert check_psd(np.eye(3)) == PsdReport(1.0, True, 3.0)
 
     def test_indefinite_matrix(self):
-        min_eig, passed = check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert min_eig == pytest.approx(-1.0, abs=1e-12)
-        assert not passed
+        report = check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert report.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+        assert report.trace == 2.0
+        assert not report.passed
 
     def test_invariant_kernels_are_psd(self):
         rng = np.random.default_rng(34)
@@ -240,8 +249,7 @@ class TestCheckPsd:
         for inv, pts in cases:
             for base in bases:
                 gram = build_gram(pts, KernelSpec(base, inv))
-                _, passed = check_psd(gram)
-                assert passed, (inv, base)
+                assert check_psd(gram).passed, (inv, base)
 
 
 class TestSymEig:
@@ -352,6 +360,53 @@ class TestTruncatedEig:
     def test_axis_count_validated(self):
         with pytest.raises(ValidationError):
             truncated_eig(np.eye(4), 0)
+
+    def test_repeated_top_eigenvalue_selects_the_dense_axes(self):
+        # Three equal blocks: the top eigenvalue 600 + 1e-3 has multiplicity
+        # 3, and a single Krylov space holds one vector of its eigenspace.
+        gram = np.kron(np.eye(3), np.ones((600, 600))) + 1e-3 * np.eye(1800)
+        assert len(gram) >= LANCZOS_MIN_N
+        eig, dense = truncated_eig(gram, 3), sym_eig(gram)
+        axes = _entropy_ranking(eig, len(gram))[1][:3]
+        dense_axes = _entropy_ranking(dense, len(gram))[1][:3]
+        assert sorted(axes) == sorted(dense_axes) == [0, 1, 2]
+        np.testing.assert_allclose(eig.eigenvalues[axes], dense.eigenvalues[axes], rtol=1e-12)
+        labels = cluster_gram(gram, 3, seed=0).labels
+        assert np.array_equal(labels, _dense_pipeline(gram, 3)[2])
+        assert np.array_equal(labels, np.repeat([labels[0], labels[600], labels[1200]], 600))
+
+    def test_two_calls_are_bitwise_equal(self):
+        for gram in _psd_grams():
+            first, second = truncated_eig(gram, 3), truncated_eig(gram, 3)
+            assert np.array_equal(first.eigenvalues, second.eigenvalues)
+            assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gram_raises_numerical_error(self, bad):
+        gram = np.eye(200) + 0.01
+        gram[3, 5] = gram[5, 3] = bad
+        with pytest.raises(NumericalError):
+            truncated_eig(gram, 3)
+
+    def test_truncated_cluster_loads_no_scipy(self, tmp_path):
+        # The whole pipeline runs on numpy's BLAS alone, also on the
+        # truncated path.
+        n = LANCZOS_MIN_N + 100
+        data, _ = gen_directions(6, n, seed=3)
+        save_dataset(data, tmp_path / "points.csv")
+        src = str(Path(invkern.__file__).parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from invkern.cli import main; "
+                "main(sys.argv[2:]); print('scipy' in sys.modules)")
+        argv = ["cluster", "--input", str(tmp_path / "points.csv"), "--labeled", "--k", "6",
+                "--kernel", "gaussian", "--sigma", "0.1", "--inv", "proj",
+                "--out", str(tmp_path / "out")]
+        out = subprocess.run(
+            [sys.executable, "-c", code, src, *argv], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines()[-1] == "False"
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text(encoding="utf-8"))
+        assert metrics["n_points"] == n
+        assert metrics["eigenpairs"] < n
 
     def test_cli_import_leaves_scipy_unloaded(self):
         src = str(Path(invkern.__file__).parents[1])
