@@ -152,14 +152,17 @@ def gen_directions(
 def canonical_direction(v) -> np.ndarray:
     """Unit vector with its first nonzero coordinate positive."""
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
+    # An overflowing norm is reported below, not warned.
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ValidationError("cannot canonicalize the zero vector")
+    if not np.isfinite(norm):
+        raise ValidationError(f"cannot canonicalize a vector of non-finite norm {norm}")
     v = v / norm
     for component in v:
         if component != 0.0:
             return -v if component < 0 else v
-    return v
 
 
 def parse_cell(text: str, source, line, column) -> float:

@@ -191,7 +191,8 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy, out=None):
     consuming the triple produced by the previous one.  No invariance
     (``None``) leaves the triple as it is.  Scale and proj divide by
     sxx * syy, which :func:`_triple_field` keeps nonzero, and return the
-    scalar diagonals 1.0, which broadcast against ``sxy``.
+    scalar diagonals 1.0, which broadcast against ``sxy``.  Scale rewrites
+    a pair of finite norms whose product overflows to NaN, not to 0.0.
 
     ``out``, if given, receives the rewritten ``sxy`` and may be ``sxy``
     itself, so a Gram tile is rewritten in its own buffer; a real result
@@ -215,6 +216,11 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy, out=None):
         return sxx**2, _squared_modulus(sxy, out), syy**2
     denom = np.asarray(np.asarray(sxx, dtype=float) * np.asarray(syy, dtype=float))
     if spec.kind == "scale":
+        # A pair of finite norms whose product overflows has no rewrite: NaN, not
+        # sxy / inf = 0.0.  (A norm that overflows itself fails at its diagonal.)
+        # No product exceeds that of the largest norms, so testing it is O(N).
+        if not np.isfinite(np.max(sxx) * np.max(syy)):
+            denom[np.isinf(denom) & np.isfinite(sxx) & np.isfinite(syy)] = np.nan
         return 1.0, np.divide(sxy, np.sqrt(denom, out=denom), out=out), 1.0
     square = _squared_modulus(sxy, out)
     square /= denom  # in place: square is out, or a new array of the rewrite's own
@@ -302,16 +308,17 @@ def triple_tiles(points, spec: Invariance | None, gram=None):
     norms are the row-wise sums of |x|^2, taken once and also written into
     the diagonal of each diagonal block, so d^2(i, i) = 0 and RBF diagonals
     stay exactly 1.  Yields ``(start, stop, (sxx, sxy, syy))`` for rows
-    start:stop and columns start:N, rewritten by :func:`transform_triples`;
-    the components broadcast to one shape, and ``sxy`` (or its real part)
-    is the tile's own buffer, which the caller may overwrite.
+    start:stop and columns start:N, rewritten by :func:`transform_triples`,
+    from the last tile up to the first; the components broadcast to one
+    shape, and ``sxy`` (or its real part) is the tile's own buffer, which
+    the caller may overwrite.
 
-    With ``gram``, the N x N float array being filled, the product and its
-    rewrite go to the Gram's own memory at :func:`_gram_tile`, and the
-    next tile is built only when the caller asks for it.  A product of
-    another dtype than the Gram's, such as a complex one, goes to one
-    reused buffer of a real tile's bytes instead, so its tiles have fewer
-    rows.
+    With ``gram``, the N x N float array being filled bottom up, the
+    product and its rewrite go to the Gram's own memory at
+    :func:`_gram_tile`, and the next tile is built only when the caller
+    asks for it.  A product of another dtype than the Gram's, such as a
+    complex one, goes to one reused buffer of a real tile's bytes instead,
+    so its tiles have fewer rows.
     """
     points, norms = _triple_field(points, spec, np.arange(len(points)))
     adjoint = points.conj().T
@@ -320,7 +327,7 @@ def triple_tiles(points, spec: Invariance | None, gram=None):
     if gram is not None and points.dtype != gram.dtype:
         step = TILE_ROWS * gram.itemsize // points.itemsize
         buffer = np.empty(step * n, points.dtype)
-    for start in range(0, n, step):
+    for start in reversed(range(0, n, step)):
         stop = min(start + step, n)
         out = None if gram is None else _gram_tile(gram, start, stop)
         if buffer is not None:
@@ -329,16 +336,12 @@ def triple_tiles(points, spec: Invariance | None, gram=None):
 
 
 def _gram_tile(gram, start, stop):
-    # Where the tile of rows start:stop, columns start:N of a Gram filled top down
-    # is built: contiguously in the rows below it, which hold no finished values
-    # yet, when they have room; else in its own rows, where elementwise passes
-    # take several times longer per value (numpy loops per row).
-    n = len(gram)
-    shape = (stop - start, n - start)
-    size = shape[0] * shape[1]
-    if (n - stop) * n < size:
-        return gram[start:stop, start:]
-    return gram.reshape(-1)[stop * n : stop * n + size].reshape(shape)
+    # Where the tile of rows start:stop, columns start:N of a Gram filled bottom up
+    # is built: contiguously in the Gram's first values, the empty rows above it.
+    # Tiles start at multiples of a step and are at most a step high, so one below
+    # the top has start >= stop - start and fits; the top one is exactly gram[:stop].
+    shape = (stop - start, len(gram) - start)
+    return gram.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
 
 
 def _tile_triple(spec: Invariance | None, points, adjoint, norms, start, stop, out=None):
@@ -417,25 +420,21 @@ def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
     Entry (i, j) agrees with eval_kernel(spec, x_i, x_j) up to rounding:
     the pair path takes the norms from the diagonal of its 2x2 product,
     the Gram from row-wise sums of |x|^2, and the two can differ in the
-    last bits.  Each row tile of the upper triangle is built in the Gram's
-    own memory by :func:`triple_tiles`, turned into checked base-kernel
-    values in place and copied to its rows; the lower triangle is then
-    mirrored from the upper one, so the result is exactly symmetric.  A
-    non-finite value raises NumericalError naming the pair.
+    last bits.  Each row tile of the upper triangle, from the last one up,
+    is built in the Gram's own memory by :func:`triple_tiles`, turned into
+    checked base-kernel values in place, copied to its rows and mirrored
+    into the finished rows below it, so the result is exactly symmetric.
+    A non-finite value raises NumericalError naming the pair: the first
+    failing pair of the lowest failing tile.
     """
     n = len(points)
     gram = np.empty((n, n))
-    spans = []
     for start, stop, triple in triple_tiles(points, spec.invariance, gram):
         tile = _gram_tile(gram, start, stop)
         _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n], out=tile)
         block = tile[:, : stop - start]
         np.copyto(block, block.T, where=np.tri(stop - start, k=-1, dtype=bool))
         gram[start:stop, start:] = tile
-        spans.append((start, stop))
-    # Copies only, once no tile needs the rows below it: the lower triangle is
-    # the upper one's exact transpose.
-    for start, stop in spans:
         gram[stop:, start:stop] = gram[start:stop, stop:].T
     return gram
 

@@ -93,6 +93,33 @@ class TestEval:
         assert out == ""
         assert "pair (1, 1)" in err
 
+    @pytest.mark.parametrize("kernel", [["linear"], ["gaussian", "--sigma", "1"]])
+    @pytest.mark.parametrize("inv", ["scale", "chain(scale,sign)"])
+    def test_overflowing_norm_product_exits_3(self, capsys, kernel, inv):
+        # Both norms are finite, but |x|^2 |y|^2 = 4e400 overflows, and the scale
+        # rewrite would print 0.0 for a true value of 1.0.
+        code, out, err = run(
+            capsys, "eval", "--kernel", *kernel, "--inv", inv,
+            "--x", "1e100,0", "--y", "2e100,0",
+        )
+        assert code == 3
+        assert out == ""
+        assert "pair (0, 0)" in err
+
+    def test_input_of_three_rows_exits_2(self, capsys, tmp_path):
+        csv_path = tmp_path / "three.csv"
+        csv_path.write_text("1,2\n3,4\n5,6\n")
+        code, out, err = run(capsys, "eval", "--sigma", "1", "--input", str(csv_path))
+        assert code == 2
+        assert out == ""
+        assert "eval expects exactly 2 rows, got 3" in err
+
+    def test_x_without_y_exits_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--sigma", "1", "--x", "1,2")
+        assert code == 2
+        assert out == ""
+        assert "provide --x and --y, or --input with two rows" in err
+
     def test_non_finite_vector_exits_2(self, capsys):
         code, out, err = run(
             capsys, "eval", "--sigma", "1", "--x", "1,nan", "--y", "3,4",
@@ -106,6 +133,7 @@ class TestEval:
         (("--kernel", "poly", "--degree", "0"), "degree must be at least 1"),
         (("--sigma", "1", "--inv", "chain(chain(chain(chain(scale,sign),sign),sign),sign)"),
          "nesting deeper"),
+        (("--kernel", "gaussian"), "--sigma is required for the gaussian kernel"),
     ])
     def test_invalid_kernel_parameter_exits_2(self, capsys, flags, message):
         code, _, err = run(capsys, "eval", *flags, "--x", "1,2", "--y", "3,4")
@@ -249,6 +277,33 @@ class TestGram:
         )
         assert code == 2
         assert "at least two points" in err
+
+    def test_single_point_without_sigma_exits_2(self, capsys, tmp_path):
+        # The median heuristic, which picks sigma, needs a pair of points.
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("1,2\n")
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, "gram", "--input", str(csv_path), "--out", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert "median heuristic needs at least two points" in err
+        assert not out_dir.exists()
+
+    def test_nested_chain_text_writes_the_flat_chain_bytes(self, capsys, tmp_path):
+        csv_path = tmp_path / "pts.csv"
+        save_dataset(gen_xor(10, 0.15, seed=4), csv_path)
+        outputs = []
+        for inv in ("chain(sign,scale,proj)", "chain(chain(sign,scale),proj)"):
+            out_dir = tmp_path / inv
+            code, out, _ = run(
+                capsys, "gram", "--input", str(csv_path), "--labeled", "--inv", inv,
+                "--svg", "--out", str(out_dir),
+            )
+            assert code == 0
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            outputs.append((out, files))
+        assert set(outputs[0][1]) == {"gram.csv", "gram.svg", "psd.json"}
+        assert outputs[0] == outputs[1]
 
     def test_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run(

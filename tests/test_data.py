@@ -28,7 +28,7 @@ from invkern import (
     top_norm_select,
 )
 from invkern.data import _load_cells, best_matching
-from invkern.errors import DegenerateClusterError, FormatError, ParseError
+from invkern.errors import DegenerateClusterError, FormatError, ParseError, ValidationError
 
 
 class TestGenXor:
@@ -436,3 +436,13 @@ class TestCanonicalDirection:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             canonical_direction([0.0, 0.0])
+
+    @pytest.mark.parametrize("v", [[1e200, 1e200], [np.inf, 1.0], [np.nan, 1.0]])
+    def test_non_finite_norm_rejected(self, v):
+        # 1e200^2 overflows the norm, which would scale the vector to [0, 0].
+        with pytest.raises(ValidationError, match="non-finite norm"):
+            canonical_direction(v)
+
+    def test_huge_finite_vector_keeps_its_bits(self):
+        v = [-3e150, 4e150]
+        np.testing.assert_array_equal(canonical_direction(v), -np.asarray(v) / np.linalg.norm(v))

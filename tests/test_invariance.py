@@ -1,6 +1,7 @@
 """Invariance, invariant inner kernels, and combined-kernel tests."""
 
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -38,7 +39,10 @@ from invkern import (
     transform_triples,
 )
 from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_select
-from invkern.errors import FieldError, ParseError, ValidationError, ZeroVectorError
+from invkern.errors import (
+    FieldError, NumericalError, ParseError, ValidationError, ZeroVectorError,
+)
+from invkern.invariance import _gram_tile, triple_tiles
 from invkern.kernels import base_values, squared_distance
 from oracles import OracleSizeError, frobenius_inner, median_distance, quotient_map_oracle
 
@@ -529,6 +533,17 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_invariance(bad)
 
+    @pytest.mark.parametrize("text", [
+        "chain(chain(sign,scale),proj)", "chain(sign,chain(scale,proj))",
+    ])
+    def test_nested_chains_flatten(self, text):
+        assert parse_invariance(text) == chain(SIGN, SCALE, PROJ)
+
+    @pytest.mark.parametrize("bad", ["chain(sign))", "chain((sign)", "chain(sign,(scale)"])
+    def test_unbalanced_parentheses(self, bad):
+        with pytest.raises(ParseError, match="unbalanced parentheses"):
+            parse_invariance(bad)
+
     @pytest.mark.parametrize("levels", [4, 1200])
     def test_deep_nesting_rejected_before_recursing(self, levels):
         # 1200 levels would overflow the recursion; four exceed the chain depth
@@ -687,8 +702,8 @@ class TestOutBuffers:
     @pytest.mark.parametrize("n", [1, 2, 129, 200, 263])
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_kernel_matrix_keeps_the_allocating_bits(self, n, field):
-        # Tiles built in the Gram's rows below them, or in their own rows where
-        # those have no room, keep the values of the allocating tiles, mirrored.
+        # Tiles built in the Gram's empty rows above them, the first tile in its
+        # own rows, keep the values of the allocating tiles, mirrored.
         from invkern import kernel_matrix
         from invkern.invariance import triple_tiles
 
@@ -702,6 +717,38 @@ class TestOutBuffers:
         gram = kernel_matrix(pts, spec)
         assert same_bits(gram[upper], expected[upper])
         assert same_bits(gram, gram.T)
+
+
+class TestGramTiles:
+    # kernel_matrix fills the Gram bottom up: each tile is built contiguously in
+    # the Gram's first values, the empty rows above it, never in the finished
+    # rows below it; the top tile is exactly its own rows.
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 1000])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_tiles_are_contiguous_and_above_the_finished_rows(self, n, field):
+        rng = np.random.default_rng(37)
+        pts = rng.standard_normal((n, 3)) if field == "real" else complex_points(rng, n, 3)
+        gram = np.empty((n, n))
+        starts = []
+        for start, stop, _ in triple_tiles(pts, None, gram):
+            tile = _gram_tile(gram, start, stop)
+            assert tile.flags.c_contiguous
+            if start == 0:
+                assert tile.shape == (stop, n) and tile.ctypes.data == gram.ctypes.data
+            else:
+                assert not np.shares_memory(tile, gram[start:])
+            starts.append(start)
+        assert starts == sorted(starts, reverse=True) and starts[-1] == 0
+
+    def test_overflow_error_names_an_overflowing_row(self):
+        # Rows 3 and 290 of 300 overflow their norms; whichever tile fails first,
+        # the pair named holds one of them.
+        pts = np.random.default_rng(38).standard_normal((300, 2))
+        pts[[3, 290], 0] = 1e200
+        with pytest.raises(NumericalError, match="pair") as info:
+            kernel_matrix(pts, KernelSpec(gaussian(1.0)))
+        pair = re.search(r"pair \((\d+), (\d+)\)", str(info.value))
+        assert {3, 290} & {int(pair[1]), int(pair[2])}
 
 
 class TestKernelTriple:
@@ -788,6 +835,34 @@ class TestKernelValueChecks:
         assert list(np.random.default_rng(1).integers(2, size=2)) == [0, 1]
         with pytest.raises(NumericalError, match=r"pair \(1, 1\)"):
             check_invariance(spec, self.HUGE_PAIR, n_group_samples=1, seed=1)
+
+    # Every norm is finite (1e200 and 5e200), but |x| |y| > 1.3e154, so sxx * syy
+    # overflows already for k(x, x), and the scale rewrite sxy / sqrt(inf) would
+    # be a finite 0.0: k(x, y) is 1.0 for linear+scale, and RBF diagonals exp(-1).
+    NEAR_OVERFLOW = np.array([[1e100, 0.0], [1.0, 1.0], [2e100, 1e100]])
+    SCALE_SPECS = [
+        KernelSpec(base, inv)
+        for base in (linear(), gaussian(1.0))
+        for inv in (SCALE, chain(SCALE, SIGN))
+    ]
+
+    @pytest.mark.parametrize("spec", SCALE_SPECS, ids=kernel_label)
+    def test_overflowing_norm_product_raises(self, spec):
+        with pytest.raises(NumericalError, match=r"pair \(0, 0\)"):
+            eval_kernel(spec, [1e100, 0.0], [2e100, 0.0])
+        with pytest.raises(NumericalError, match=r"pair \(0, 0\)"):
+            kernel_matrix(self.NEAR_OVERFLOW, spec)
+        with pytest.raises(NumericalError, match=r"pair \(0, 0\)"):
+            median_heuristic_sigma(self.NEAR_OVERFLOW, spec.invariance)
+        # Seed 1 draws the pair (0, 1), whose field fails first at (0, 0).
+        with pytest.raises(NumericalError, match=r"pair \(0, 0\)"):
+            check_invariance(spec, self.NEAR_OVERFLOW[[0, 2]], n_group_samples=1, seed=1)
+
+    def test_norms_just_below_the_overflow_keep_their_value(self):
+        # |x| |y| = 1e154: sxx * syy = 1e308 is still finite.
+        spec = KernelSpec(linear(), SCALE)
+        assert eval_kernel(spec, [1e77, 0.0], [1e77, 0.0]) == 1.0
+        assert np.array_equal(kernel_matrix([[1e77, 0.0], [0.0, 1e77]], spec), np.eye(2))
 
     def test_check_invariance_argument_errors_are_typed(self):
         from invkern.errors import ValidationError
