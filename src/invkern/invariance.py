@@ -191,8 +191,8 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy, out=None):
     consuming the triple produced by the previous one.  No invariance
     (``None``) leaves the triple as it is.  Scale and proj divide by
     sxx * syy, which :func:`_triple_field` keeps nonzero, and return the
-    scalar diagonals 1.0, which broadcast against ``sxy``.  Scale rewrites
-    a pair of finite norms whose product overflows to NaN, not to 0.0.
+    scalar diagonals 1.0, which broadcast against ``sxy``.  Both rewrite a
+    pair of finite norms whose product overflows to NaN, not to 0.0.
 
     ``out``, if given, receives the rewritten ``sxy`` and may be ``sxy``
     itself, so a Gram tile is rewritten in its own buffer; a real result
@@ -215,12 +215,12 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy, out=None):
     if spec.kind == "phase":
         return sxx**2, _squared_modulus(sxy, out), syy**2
     denom = np.asarray(np.asarray(sxx, dtype=float) * np.asarray(syy, dtype=float))
+    # A pair of finite norms whose product overflows has no rewrite: NaN, not
+    # sxy / inf = 0.0.  (A norm that overflows itself fails at its diagonal.)
+    # No product exceeds that of the largest norms, so testing it is O(N).
+    if not np.isfinite(np.max(sxx) * np.max(syy)):
+        denom[np.isinf(denom) & np.isfinite(sxx) & np.isfinite(syy)] = np.nan
     if spec.kind == "scale":
-        # A pair of finite norms whose product overflows has no rewrite: NaN, not
-        # sxy / inf = 0.0.  (A norm that overflows itself fails at its diagonal.)
-        # No product exceeds that of the largest norms, so testing it is O(N).
-        if not np.isfinite(np.max(sxx) * np.max(syy)):
-            denom[np.isinf(denom) & np.isfinite(sxx) & np.isfinite(syy)] = np.nan
         return 1.0, np.divide(sxy, np.sqrt(denom, out=denom), out=out), 1.0
     square = _squared_modulus(sxy, out)
     square /= denom  # in place: square is out, or a new array of the rewrite's own
@@ -262,23 +262,23 @@ def _check_field(spec: Invariance | None, complex_data: bool) -> None:
 
 
 def _triple_field(points, spec: Invariance | None, ids):
-    # The points, promoted to at least float64, and their norms sum |x|^2 over
-    # the last axis, for a point array or a stack of point sets; ids, shaped
-    # like the norms, name points in errors.
+    # The points, promoted to at least float64, and their adjoint, for a point
+    # array or a stack of point sets; ids, shaped like points without its last
+    # axis, name points in errors.
     points = np.asarray(points)
     points = points.astype(np.promote_types(points.dtype, np.float64), copy=False)
     _check_field(spec, np.iscomplexobj(points))
-    # Overflow and NaN are reported as a NumericalError by _rewrite, not warned.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.real(np.einsum("...i,...i->...", points, points.conj()))
     if any(p.kind in ("scale", "proj") for p in _stages(spec)):
-        zero = norms == 0.0
+        # A sum of |x|^2 has no negative terms, so it is zero exactly where the
+        # diagonal of a product is: the lowest zero-norm point is named here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            zero = np.real(np.einsum("...i,...i->...", points, points.conj())) == 0.0
         if np.any(zero):
             raise ZeroVectorError(
                 f"point {int(ids[zero][0])} has zero norm; "
                 f"{format_invariance(spec)} invariance is undefined there"
             )
-    return points, norms
+    return points, np.swapaxes(points.conj(), -1, -2)
 
 
 def _pair_name(rows, cols, shape, index) -> str:
@@ -304,14 +304,14 @@ def triple_tiles(points, spec: Invariance | None, gram=None):
     """Row tiles of the upper triangle of a 2-D point array's triple field.
 
     Entry (i, j) is (<x_i,x_i>, <x_i,x_j>, <x_j,x_j>).  Each tile forms its
-    own product X[rows] @ X[start:]^H, so no N x N temporary is built.  The
-    norms are the row-wise sums of |x|^2, taken once and also written into
-    the diagonal of each diagonal block, so d^2(i, i) = 0 and RBF diagonals
-    stay exactly 1.  Yields ``(start, stop, (sxx, sxy, syy))`` for rows
-    start:stop and columns start:N, rewritten by :func:`transform_triples`,
-    from the last tile up to the first; the components broadcast to one
-    shape, and ``sxy`` (or its real part) is the tile's own buffer, which
-    the caller may overwrite.
+    own product X[rows] @ X[start:]^H, so no N x N temporary is built, and
+    its rows' norms are that product's own diagonal, summed as the <x,y>
+    beside them: d^2(i, i) = 0 and RBF diagonals stay exactly 1.  Yields
+    ``(start, stop, (sxx, sxy, syy))`` for rows start:stop and columns
+    start:N, rewritten by :func:`transform_triples`, from the last tile up
+    to the first, which read the later columns' norms off the tiles below;
+    the components broadcast to one shape, and ``sxy`` (or its real part)
+    is the tile's own buffer, which the caller may overwrite.
 
     With ``gram``, the N x N float array being filled bottom up, the
     product and its rewrite go to the Gram's own memory at
@@ -320,9 +320,10 @@ def triple_tiles(points, spec: Invariance | None, gram=None):
     complex one, goes to one reused buffer of a real tile's bytes instead,
     so its tiles have fewer rows.
     """
-    points, norms = _triple_field(points, spec, np.arange(len(points)))
-    adjoint = points.conj().T
     n = len(points)
+    ids = np.arange(n)
+    points, adjoint = _triple_field(points, spec, ids)
+    norms = np.empty(n, points.real.dtype)
     step, buffer = TILE_ROWS, None
     if gram is not None and points.dtype != gram.dtype:
         step = TILE_ROWS * gram.itemsize // points.itemsize
@@ -332,7 +333,7 @@ def triple_tiles(points, spec: Invariance | None, gram=None):
         out = None if gram is None else _gram_tile(gram, start, stop)
         if buffer is not None:
             out = buffer[: out.size].reshape(out.shape)
-        yield start, stop, _tile_triple(spec, points, adjoint, norms, start, stop, out)
+        yield start, stop, _tile_triple(spec, points, adjoint, ids, norms, start, stop, out)
 
 
 def _gram_tile(gram, start, stop):
@@ -344,16 +345,18 @@ def _gram_tile(gram, start, stop):
     return gram.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
 
 
-def _tile_triple(spec: Invariance | None, points, adjoint, norms, start, stop, out=None):
-    # Rows start:stop of the rewritten triple field, columns start:N; with out,
-    # the product and its rewrite both go to out.
+def _tile_triple(spec: Invariance | None, points, adjoint, ids, norms, start, stop, out=None):
+    # Rows start:stop, columns start:N of the rewritten triple field of a point array
+    # or a stack of point sets; with out, the product and its rewrite both go to out.
+    # The rows' norms, the product's real diagonal, go back to it and to norms.
     # Kept out of triple_tiles so that no raw tile outlives its rewrite.
-    n = len(points)
     with np.errstate(over="ignore", invalid="ignore"):
-        sxy = np.matmul(points[start:stop], adjoint[:, start:], out=out)
-    np.fill_diagonal(sxy, norms[start:stop])
-    sxx, syy = norms[start:stop, None], norms[None, start:]
-    return _rewrite(spec, sxx, sxy, syy, *np.ogrid[start:stop, start:n], out=out)
+        sxy = np.matmul(points[..., start:stop, :], adjoint[..., start:], out=out)
+    diagonal = np.arange(stop - start)
+    norms[..., start:stop] = np.real(sxy[..., diagonal, diagonal])
+    sxy[..., diagonal, diagonal] = norms[..., start:stop]
+    sxx, syy = norms[..., start:stop, None], norms[..., None, start:]
+    return _rewrite(spec, sxx, sxy, syy, ids[..., start:stop, None], ids[..., None, start:], out)
 
 
 def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
@@ -363,18 +366,11 @@ def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
     if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] < 1:
         raise DimensionError(f"incompatible shapes {xs.shape[1:]} and {ys.shape[1:]}")
     ids = np.stack([rows, cols], axis=1)
-    points, _ = _triple_field(np.stack([xs, ys], axis=1), spec, ids)
-    # Each 2x2 field is the BLAS product of a two-point Gram, norms included:
-    # single evaluations keep their bits, which a row-wise sum would round otherwise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = points @ np.swapaxes(points.conj(), -1, -2)
-    norms = np.real(np.diagonal(inner, axis1=-2, axis2=-1))
-    # The whole 2x2 field is rewritten, not entry (0, 1) alone: a norm that
-    # overflows can rewrite to a finite <x,y> (scale: 1e160 / inf = 0.0), and
-    # only the diagonal entries then show it.
-    triple = _rewrite(
-        spec, norms[:, :, None], inner, norms[:, None, :], ids[:, :, None], ids[:, None, :]
-    )
+    points, adjoint = _triple_field(np.stack([xs, ys], axis=1), spec, ids)
+    # The whole 2x2 field, one tile of each two-point set, is rewritten, not entry
+    # (0, 1) alone: a norm that overflows can rewrite to a finite <x,y> (scale:
+    # 1e160 / inf = 0.0), and only the diagonal entries then show it.
+    triple = _tile_triple(spec, points, adjoint, ids, np.empty(ids.shape, points.real.dtype), 0, 2)
     return tuple(t[:, 0, 1] for t in np.broadcast_arrays(*triple))
 
 
@@ -418,12 +414,12 @@ def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
     """Kernel values of every pair of rows of a 2-D point array.
 
     Entry (i, j) agrees with eval_kernel(spec, x_i, x_j) up to rounding:
-    the pair path takes the norms from the diagonal of its 2x2 product,
-    the Gram from row-wise sums of |x|^2, and the two can differ in the
-    last bits.  Each row tile of the upper triangle, from the last one up,
-    is built in the Gram's own memory by :func:`triple_tiles`, turned into
-    checked base-kernel values in place, copied to its rows and mirrored
-    into the finished rows below it, so the result is exactly symmetric.
+    both take the norms from the diagonal of the product that gives <x,y>,
+    but BLAS may sum a tile's product and a 2x2 one in other orders.  Each
+    row tile of the upper triangle, from the last one up, is built in the
+    Gram's own memory by :func:`triple_tiles`, turned into checked
+    base-kernel values in place, copied to its rows and mirrored into the
+    finished rows below it, so the result is exactly symmetric.
     A non-finite value raises NumericalError naming the pair: the first
     failing pair of the lowest failing tile.
     """
@@ -451,10 +447,11 @@ def triple_value(base: BaseKernel, triple: ScalarTriple) -> float:
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """Evaluate the (optionally invariant) kernel on a pair of points.
 
-    Raises NumericalError when k(x, y) is not finite, naming pair (0, 1),
-    and also when a rewritten triple of k(x, x) or k(y, y) is not, as when
-    a norm overflows, naming (0, 0) or (1, 1); only the base values of
-    k(x, x) and k(y, y) are skipped.
+    Its triple is a one-tile Gram of [x; y], norms from the 2x2 product's
+    diagonal.  Raises NumericalError when k(x, y) is not finite, naming
+    pair (0, 1), and also when a rewritten triple of k(x, x) or k(y, y)
+    is not, as when a norm overflows, naming (0, 0) or (1, 1); only the
+    base values of k(x, x) and k(y, y) are skipped.
     """
     return triple_value(spec.base, kernel_triple(spec, x, y))
 
@@ -544,12 +541,11 @@ def median_heuristic_sigma(points, invariance: Invariance | None = None) -> floa
     for _, _, triple in triple_tiles(pts, invariance):
         d2 = squared_distance(*triple, out=np.real(triple[1]))
         # Row r of a tile starts at the diagonal, so its strict upper part is d2[r, r + 1:].
-        for r in range(len(d2)):
-            count = d2.shape[1] - r - 1
-            squared[filled : filled + count] = d2[r, r + 1 :]
-            filled += count
+        strict = d2[np.arange(d2.shape[1]) > np.arange(len(d2))[:, None]]
+        squared[filled : filled + strict.size] = strict
+        filled += strict.size
         # Freed before the next tile is built, so the buffer stays the only N^2 array.
-        del triple, d2
+        del triple, d2, strict
     # The two middle entries, one and the same for an odd count, where (a + a) / 2 is a.
     lower, upper = (len(squared) - 1) // 2, len(squared) // 2
     squared.partition([lower, upper])

@@ -106,6 +106,15 @@ class TestEval:
         assert out == ""
         assert "pair (0, 0)" in err
 
+    def test_underflowing_norm_exits_3(self, capsys):
+        # |x|^2 = 1e-400 underflows: a zero vector for scale, not a division by zero.
+        code, out, err = run(
+            capsys, "eval", "--kernel", "linear", "--inv", "scale",
+            "--x", "1e-200,0", "--y", "1,0",
+        )
+        assert (code, out) == (3, "")
+        assert "point 0 has zero norm" in err
+
     def test_input_of_three_rows_exits_2(self, capsys, tmp_path):
         csv_path = tmp_path / "three.csv"
         csv_path.write_text("1,2\n3,4\n5,6\n")

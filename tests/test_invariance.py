@@ -751,6 +751,42 @@ class TestGramTiles:
         assert {3, 290} & {int(pair[1]), int(pair[2])}
 
 
+ORBIT_CASES = [
+    (base, inv, field)
+    for base in (gaussian(1.0), laplace(1.0))
+    for inv, field in [
+        (SIGN, "real"), (PROJ, "real"), (chain(SCALE, SIGN), "real"),
+        (PHASE, "complex"), (rotation(4), "complex"), (PROJ, "complex"),
+    ]
+]
+
+
+class TestGramOrbits:
+    # A Gram cannot tell a point from its transform: every norm is the diagonal
+    # of the product that gives <x,y>, so k(x_i, g.x_i) is exactly 1.0, with the
+    # partners 300 rows apart, in different tiles.  This holds where BLAS sums
+    # the three entries in one order, as OpenBLAS did in every Gram measured
+    # whose N, here 600, is a multiple of 8 (see README).
+    N = 300
+
+    @pytest.mark.parametrize("d", [3, 64, 256])
+    @pytest.mark.parametrize(
+        ("base", "inv", "field"), ORBIT_CASES,
+        ids=[f"{kernel_label(KernelSpec(b, i))}-{f}" for b, i, f in ORBIT_CASES],
+    )
+    def test_orbit_pairs_are_exact(self, base, inv, field, d):
+        rng = np.random.default_rng(d)
+        if field == "real":
+            pts, factors = rng.standard_normal((self.N, d)), [-1.0]
+        else:
+            pts, factors = complex_points(rng, self.N, d), [1j, -1j]
+        for g in factors:
+            gram = kernel_matrix(np.vstack([pts, apply_group(g, pts)]), KernelSpec(base, inv))
+            rows = np.arange(self.N)
+            assert np.all(gram[rows, rows + self.N] == 1.0), g
+            assert np.all(np.diagonal(gram) == 1.0), g
+
+
 class TestKernelTriple:
     def test_plain_triple_passthrough(self):
         t = kernel_triple(KernelSpec(gaussian(1.0)), (1.0, 2.0), (3.0, 4.0))
@@ -857,6 +893,38 @@ class TestKernelValueChecks:
         # Seed 1 draws the pair (0, 1), whose field fails first at (0, 0).
         with pytest.raises(NumericalError, match=r"pair \(0, 0\)"):
             check_invariance(spec, self.NEAR_OVERFLOW[[0, 2]], n_group_samples=1, seed=1)
+
+    @pytest.mark.parametrize("inv", [SCALE, PROJ])
+    def test_overflowing_norm_product_has_no_rewrite(self, inv):
+        # sxx * syy = 2 a^4 overflows while |sxy|^2 = a^4 does not: the true proj
+        # value is 0.5, and a division by inf would give 0.0 for either kind.
+        a2 = 1.14e77**2
+        with np.errstate(over="ignore"):
+            sxx, sxy, syy = transform_triples(inv, a2, a2, 2 * a2)
+            assert (sxx, syy) == (1.0, 1.0) and np.isnan(sxy)
+            # A finite product beside it keeps its value.
+            pairs = (np.array([a2, 1.0]), np.array([a2, 0.5]), np.array([2 * a2, 1.0]))
+            sxy = transform_triples(inv, *pairs)[1]
+        assert np.isnan(sxy[0]) and sxy[1] == (0.5 if inv == SCALE else 0.25)
+
+    # |x|^2 = 1e-400 underflows to 0.0, in a row sum and in a product alike, so
+    # the point is rejected as a zero vector, named by its lowest index.
+    TINY = [1e-200, 0.0]
+
+    @pytest.mark.parametrize("inv", [SCALE, PROJ, chain(SCALE, SIGN)], ids=format_invariance)
+    def test_underflowing_norm_is_a_zero_vector(self, inv):
+        spec = KernelSpec(gaussian(1.0), inv)
+        pts = np.array([[1.0, 0.0], self.TINY, self.TINY])
+        with pytest.raises(ZeroVectorError, match="point 0 "):
+            eval_kernel(spec, self.TINY, [1.0, 0.0])
+        with pytest.raises(ZeroVectorError, match="point 1 "):
+            eval_kernel(spec, [1.0, 0.0], self.TINY)
+        with pytest.raises(ZeroVectorError, match="point 1 "):
+            kernel_matrix(pts, spec)
+        with pytest.raises(ZeroVectorError, match="point 1 "):
+            median_heuristic_sigma(pts, inv)
+        with pytest.raises(ZeroVectorError, match="point 0 "):
+            check_invariance(spec, np.array([self.TINY]), n_group_samples=2)
 
     def test_norms_just_below_the_overflow_keep_their_value(self):
         # |x| |y| = 1e154: sxx * syy = 1e308 is still finite.

@@ -71,6 +71,23 @@ def test_one_function_makes_base_values():
     assert functions_naming("base_values") == {"invariance._checked_values"}
 
 
+def test_one_function_multiplies_points():
+    # Every norm is the diagonal of the product that gives <x,y>, Gram tile or
+    # pair: a second product, or norms written over a product's diagonal from
+    # elsewhere, would round a point apart from its own transforms.
+    source = (PACKAGE / "invariance.py").read_text(encoding="utf-8")
+    products = set()
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)) or (
+                    getattr(node, "id", None) or getattr(node, "attr", None)
+                ) in ("matmul", "dot"):
+                    products.add(function.name)
+    assert products == {"_tile_triple"}
+    assert functions_naming("fill_diagonal") == set()
+
+
 def definitions_of(names: set) -> list:
     """``module: name`` of every def, class, assignment or import of ``names``."""
     defined = []
