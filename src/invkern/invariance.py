@@ -43,6 +43,11 @@ TILE_ROWS = 128
 # magnitude seen, floored at 1.
 INVARIANCE_TOLERANCE = 1e-10
 
+# Round-off of a rewritten triple component, relative to the largest one:
+# products, a division and a square root (scale, proj) add up to about
+# 40 eps.  A Laplace base's square root turns it into sqrt(4 * this).
+_TRIPLE_ROUNDING = 64 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class Invariance:
@@ -484,12 +489,13 @@ def check_invariance(
     ``group`` defaults to the spec's own invariance; passing a different
     group turns this into a falsifier for kernels that should *not* be
     invariant.  The pass threshold is ``INVARIANCE_TOLERANCE`` relative to
-    the largest kernel magnitude seen, floored at 1.  Errors name rows of
-    ``samples``; a kernel value that overflows raises NumericalError.
-
-    Known false failure: a Laplace base with a scale, proj or chained
-    invariance can fail on a pair drawn from one orbit, where the square
-    root turns a squared-distance round-off near 2 * eps into 1.5e-8.
+    the largest kernel magnitude seen, floored at 1.  A Laplace base adds
+    sqrt(4 * err) / sigma, err = 64 eps times the largest rewritten triple
+    component: the squared distance a + c - 2 Re s is off by up to 4 err,
+    and on a pair from one orbit (distance 0) the square root turns that
+    into sqrt(4 err), of order 1e-7, not a multiple of eps.  Errors name
+    rows of ``samples``; a kernel value that overflows raises
+    NumericalError.
     """
     points = np.asarray(getattr(samples, "points", samples))
     if len(points) == 0:
@@ -511,13 +517,14 @@ def check_invariance(
     rows, cols, gs, hs = (np.array(column) for column in zip(*picks))
     xs, ys = points[rows], points[cols]
     gxs, hys = apply_group(gs[:, None], xs), apply_group(hs[:, None], ys)
-    plain, moved = (
-        _checked_values(spec.base, _pair_triples(spec.invariance, a, b, rows, cols), rows, cols)
-        for a, b in ((xs, ys), (gxs, hys))
-    )
+    triples = [_pair_triples(spec.invariance, a, b, rows, cols) for a, b in ((xs, ys), (gxs, hys))]
+    plain, moved = (_checked_values(spec.base, triple, rows, cols) for triple in triples)
     max_dev = float(np.max(np.abs(moved - plain)))
     scale = float(np.max(np.abs([plain, moved])))
     threshold = INVARIANCE_TOLERANCE * max(1.0, scale)
+    if spec.base.family == "laplace":
+        size = max(float(np.max(np.abs(t))) for triple in triples for t in triple)
+        threshold += float(np.sqrt(4.0 * _TRIPLE_ROUNDING * size)) / spec.base.sigma
     return InvarianceReport(
         max_dev <= threshold, max_dev, threshold, INVARIANCE_TOLERANCE, scale, n_group_samples
     )

@@ -5,7 +5,9 @@ eigendecompose the uncentered Gram matrix, keep the axes contributing
 most to the quadratic Renyi entropy estimate, scale them by sqrt of the
 eigenvalue, normalize rows, and run angular k-means.  From
 ``LANCZOS_MIN_N`` points on, only the top eigenpairs that certify that
-selection are computed (:func:`truncated_eig`).
+selection are computed (:func:`truncated_eig`), by one Lanczos run whose
+work is capped at a share of a dense solve's, after which the dense solve
+runs.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from .errors import DegenerateEmbeddingError, NumericalError, ValidationError
 from .invariance import KernelSpec, kernel_matrix
 
 # Point count from which clustering computes only the certified top
-# eigenpairs.  Set when the truncated path also paid a scipy import; the
-# numpy Lanczos now beats dense eigh from a few hundred points on (see
-# README), but a lower threshold would change the bits of smaller runs.
-LANCZOS_MIN_N = 1500
+# eigenpairs.  Over seven Gram families the truncated path's total time is
+# below dense from about 300 points on (0.89-0.92 of it at 512, 0.52-0.54
+# at 800; README).  The floor sits above the presets' 270 points, so they stay
+# dense and bit-identical.
+LANCZOS_MIN_N = 512
 
 # k-means restarts (best inertia wins) and the Lloyd iteration cap of each.
 _KMEANS_RESTARTS = 10
@@ -115,7 +118,8 @@ def sym_eig(gram, n_axes: int | None = None) -> EigenDecomposition:
     Without ``n_axes``, all N eigenpairs from dense ``eigh`` (N <= 5000).
     With ``n_axes`` and N >= ``LANCZOS_MIN_N``, only the top eigenpairs
     that certify the entropy selection of ``n_axes`` axes
-    (:func:`truncated_eig`).  The sign convention makes the
+    (:func:`truncated_eig`), or all N when Lanczos spends its budget
+    first.  The sign convention makes the
     largest-magnitude component of each eigenvector positive, so outputs
     are reproducible across runs.  An eigenvalue that overflows raises
     NumericalError.
@@ -135,13 +139,21 @@ def _entropy_ranking(eig: EigenDecomposition, n: int):
 
 
 # Lanczos tolerance for residuals and breakdowns, relative to |theta_1|.  The
-# tridiagonal is diagonalized every 1 + j // _CHECK_SPACING steps, and the
-# run gives up after 16 steps per wanted pair plus 64: the Grams measured
-# settled within 10 per pair.
+# tridiagonal is diagonalized every 1 + j // _CHECK_SPACING steps.
 _RITZ_TOL = 64 * np.finfo(float).eps
 _CHECK_SPACING = 16
-_LANCZOS_STEPS_PER_PAIR = 16
-_LANCZOS_SLACK = 64
+# Lanczos hands over to the dense solve once its flops reach _BUDGET_SHARE
+# of the dense solve's.  A step costs a matvec (2 N^2) and two Gram-Schmidt
+# passes over its j basis vectors (8 j N); an eigh of order n costs the
+# 4 n^3 / 3 of its Householder tridiagonalization.  Lanczos runs these flops
+# 1.3 to 2.4 times slower than a dense eigh runs its own, so from
+# LANCZOS_MIN_N points on a Gram that never certifies took 1.26 to 1.47
+# dense solves (N = 512 to 3000, README).  Below that, where clustering
+# stays dense, the budget is a LANCZOS_MIN_N-point Gram's (36 Mflop, a few
+# ms): small Grams whose entropy axes lie deep in the spectrum still
+# certify.
+_BUDGET_SHARE = 0.2
+_EIGH_FLOPS = 4.0 / 3.0
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -152,69 +164,78 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _lanczos(gram: np.ndarray, m: int, v0: np.ndarray) -> EigenDecomposition | None:
-    """Top ``m`` eigenpairs by Lanczos from ``v0``, or None if they do not settle.
+def _lanczos(gram: np.ndarray, m: int, v0: np.ndarray):
+    """Yield the top ``m``, ``2m``, ``4m``, ... eigenpairs of one Krylov run from ``v0``.
 
     Single-vector Lanczos with full reorthogonalization (two Gram-Schmidt
     passes per step).  From step m on, the top ``m`` Ritz pairs of the
-    tridiagonal T_j are accepted once every residual |beta_j s_ji| is at
+    tridiagonal T_j are yielded once every residual |beta_j s_ji| is at
     most _RITZ_TOL * |theta_1|, theta_1 the Ritz value largest in
-    magnitude.  A breakdown means the basis spans an invariant subspace,
-    which holds one vector of each eigenspace the start touched: Lanczos
-    goes on from a fixed-seed random vector orthogonal to the basis, as
-    ARPACK does, so the rest of the spectrum stays reachable.  When that
-    fresh vector breaks down at once, the rest of the spectrum is one
-    repeated eigenvalue (the null space of a low-rank Gram, or the whole
-    identity) whose eigenvectors only a dense solve fixes, and the result
-    is None, as it is when the step budget runs out first or a value
-    overflows.
+    magnitude; the run then goes on with the same basis and tridiagonal
+    until the top ``2m`` settle, and so on.  The basis grows as it is
+    used.  A breakdown means the basis spans an invariant subspace, which
+    holds one vector of each eigenspace the start touched: Lanczos goes on
+    from a fixed-seed random vector orthogonal to the basis, as ARPACK
+    does, so the rest of the spectrum stays reachable.  The run stops when
+    that fresh vector breaks down at once (the rest of the spectrum is one
+    repeated eigenvalue, the null space of a low-rank Gram or the whole
+    identity, whose eigenvectors only a dense solve fixes), when its flops
+    reach _BUDGET_SHARE of a dense eigh's (of max(N, LANCZOS_MIN_N)
+    points), or when a value overflows.
     """
     n = len(gram)
-    steps = min(n, _LANCZOS_STEPS_PER_PAIR * m + _LANCZOS_SLACK)
-    basis = np.empty((steps, n))
-    alpha, beta = np.zeros(steps), np.zeros(steps)
+    budget = _BUDGET_SHARE * _EIGH_FLOPS * max(n, LANCZOS_MIN_N) ** 3
+    basis = np.empty((min(n, 2 * m), n))
+    alpha, beta = np.zeros(n), np.zeros(n)
     basis[0] = v0 / np.linalg.norm(v0)
     fresh = np.random.default_rng(1)
-    restarted, norm, check = False, 0.0, m
-    for j in range(steps):
+    restarted, norm, check, work = False, 0.0, m, 0.0
+    for j in range(n):
         done = basis[: j + 1]
-        w = gram @ basis[j]
-        alpha[j] = basis[j] @ w
-        beta[j] = np.linalg.norm(_orthogonalize(w, done))
-        if not np.isfinite(alpha[j] + beta[j]):
-            return None  # the Gram overflows; the dense solve reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = gram @ basis[j]
+            alpha[j] = basis[j] @ w
+            beta[j] = np.linalg.norm(_orthogonalize(w, done))
+            finite = np.isfinite(alpha[j] + beta[j])
+        if not finite:
+            return  # the Gram overflows; the dense solve reports it
+        work += 2.0 * n * n + 8.0 * (j + 1) * n
         # Gershgorin bound on |theta_1|, cheaper than diagonalizing T_j.
         norm = max(norm, abs(alpha[j]) + beta[j] + (beta[j - 1] if j else 0.0))
         breakdown = beta[j] <= _RITZ_TOL * norm
-        last = j + 1 == steps or (breakdown and restarted)
+        last = j + 1 == n or (breakdown and restarted) or work >= budget
         if j + 1 >= m and (j + 1 >= check or last):
             check = j + 2 + j // _CHECK_SPACING
+            work += _EIGH_FLOPS * (j + 1) ** 3
             tridiagonal = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
             theta, s = np.linalg.eigh(tridiagonal)
             tol = _RITZ_TOL * max(abs(theta[0]), abs(theta[-1]))
             if np.all(beta[j] * np.abs(s[-1, -m:]) <= tol):
-                return _descending(theta[-m:], done.T @ s[:, -m:])
+                yield _descending(theta[-m:], done.T @ s[:, -m:])
+                m *= 2
         if last:
-            return None
+            return
         restarted = breakdown
         if breakdown:
             w = _orthogonalize(fresh.standard_normal(n), done)
             beta[j] = 0.0
+        if j + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty((min(n, 2 * len(basis)) - len(basis), n))])
         basis[j + 1] = w / np.linalg.norm(w)
 
 
 def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     """Top M eigenpairs, enough to select ``n_axes`` entropy axes exactly.
 
-    Lanczos (:func:`_lanczos`) computes the top M = 2 * n_axes
-    eigenpairs, and M doubles until a certificate holds: an axis that was
-    not computed contributes at most max(lambda_M, 0) / N, since
-    (v'1)^2 <= N, so once the n_axes-th largest computed contribution
-    exceeds that bound (by a relative 1e-9 for solver tolerance) the
-    selection equals the dense one.  When M would pass N/2 uncertified,
-    or Lanczos does not settle (:func:`_lanczos`), the result is the
-    dense decomposition.  Order and signs follow :func:`sym_eig`.
+    One Lanczos run (:func:`_lanczos`) computes the top M = 2 * n_axes
+    eigenpairs, and goes on to 2M, 4M, ... until a certificate holds: an
+    axis that was not computed contributes at most max(lambda_M, 0) / N,
+    since (v'1)^2 <= N, so once the n_axes-th largest computed
+    contribution exceeds that bound (by a relative 1e-9 for solver
+    tolerance) the selection equals the dense one.  When Lanczos stops
+    first (its work budget spent, or an exhausted breakdown or overflow,
+    see :func:`_lanczos`), the result is the dense decomposition.  Order
+    and signs follow :func:`sym_eig`.
     """
     gram = np.asarray(gram, dtype=float)
     n = len(gram)
@@ -223,16 +244,11 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     # A random start, not ones(N): the Krylov space of ones cannot reach
     # eigenvectors orthogonal to it, which would void the certificate.
     v0 = np.random.default_rng(0).standard_normal(n)
-    m = 2 * n_axes
-    while m <= n // 2:
-        eig = _lanczos(gram, m, v0)
-        if eig is None:
-            break
+    for eig in _lanczos(gram, 2 * n_axes, v0):
         bound = max(eig.eigenvalues[-1], 0.0) / n
         contributions, order = _entropy_ranking(eig, n)
         if contributions[order[n_axes - 1]] > bound * (1.0 + 1e-9):
             return eig
-        m *= 2
     return _dense_eig(gram)
 
 

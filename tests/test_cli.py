@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invkern import (
-    SIGN, Dataset, KernelSpec, build_gram, gaussian, gen_xor, keca_embed, linear, load_csv,
-    save_dataset,
+    PROJ, SIGN, Dataset, KernelSpec, build_gram, gaussian, gen_directions, gen_xor, keca_embed,
+    kmeans, linear, load_csv, save_dataset, sym_eig,
 )
 from invkern.cli import _write_gram_csv, main
 from invkern.errors import DegenerateEmbeddingError
@@ -525,6 +525,24 @@ class TestCluster:
         labels = (out_dir / "labels.csv").read_text().strip().split("\n")[1:]
         assert sorted({line.split(",")[1] for line in labels}) == ["0", "1", "2", "3"]
 
+    def test_above_the_floor_truncates_with_the_dense_labels(self, capsys, tmp_path):
+        data, _ = gen_directions(6, 600, seed=3)
+        csv_path = tmp_path / "lines.csv"
+        save_dataset(data, csv_path)
+        out_dir = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "cluster", "--input", str(csv_path), "--labeled", "--k", "6",
+            "--kernel", "gaussian", "--sigma", "0.1", "--inv", "proj", "--out", str(out_dir),
+        )
+        assert code == 0
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert metrics["eigenpairs"] < 600
+        gram = build_gram(data, KernelSpec(gaussian(0.1), PROJ))
+        embedding, _ = keca_embed(gram, 6, sym_eig(gram))
+        dense_labels, _ = kmeans(embedding, 6, seed=0)
+        labels = np.loadtxt(out_dir / "labels.csv", delimiter=",", skiprows=1, dtype=int)[:, 1]
+        assert np.array_equal(labels, dense_labels)
+
     def test_k_above_point_count_is_usage_error(self, capsys, tmp_path):
         csv_path = tmp_path / "three.csv"
         csv_path.write_text("1,2\n3,4\n5,7\n")
@@ -554,6 +572,12 @@ class TestExperiment:
             "labels_baseline.csv", "heatmap_invariant.svg", "scatter_invariant.svg",
         ):
             assert (out_dir / name).exists(), name
+
+    def test_flutes_stays_dense_below_the_floor(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "exp", "flutes", "--out", str(tmp_path / "flutes"))
+        assert code == 0
+        metrics = json.loads((tmp_path / "flutes" / "metrics.json").read_text())
+        assert metrics["invariant"]["eigenpairs"] == metrics["baseline"]["eigenpairs"] == 270
 
     def test_digits_accepts_user_csv(self, capsys, tmp_path):
         from invkern import gen_flipped_blobs

@@ -26,6 +26,7 @@ from invkern import (
     eval_kernel,
     gaussian,
     gen_directions,
+    gen_flipped_blobs,
     keca_embed,
     kernel_matrix,
     kmeans,
@@ -317,6 +318,22 @@ def _psd_grams():
     yield factors @ factors.T + 100.0 * np.outer(alternating, alternating)
 
 
+@pytest.fixture
+def lanczos_steps(monkeypatch):
+    # Basis sizes seen by _orthogonalize, which runs once per Lanczos step.
+    import invkern.spectral as spectral
+
+    sizes = []
+    original = spectral._orthogonalize
+
+    def counted(w, basis):
+        sizes.append(len(basis))
+        return original(w, basis)
+
+    monkeypatch.setattr(spectral, "_orthogonalize", counted)
+    return sizes
+
+
 class TestTruncatedEig:
     def test_matches_dense_above_threshold(self):
         n = LANCZOS_MIN_N + 100
@@ -360,6 +377,36 @@ class TestTruncatedEig:
     def test_axis_count_validated(self):
         with pytest.raises(ValidationError):
             truncated_eig(np.eye(4), 0)
+
+    @pytest.mark.parametrize("case", ["blobs", "identity"])
+    def test_uncertified_gram_is_dense_within_the_budget(self, case, lanczos_steps):
+        # Neither certifies: on the blobs the n_axes-th contribution stays
+        # 50 times below the bound; on the identity it equals it.
+        import invkern.spectral as spectral
+
+        if case == "blobs":
+            points = gen_flipped_blobs(300, 256, seed=1).points
+            gram = kernel_matrix(points, KernelSpec(gaussian(22.0), SIGN))
+        else:
+            gram = np.eye(40)
+        n = len(gram)
+        dense = sym_eig(gram)
+        eig = truncated_eig(gram, 2)
+        assert np.array_equal(eig.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(eig.eigenvectors, dense.eigenvectors)
+        # Each step costs at least its matvec, 2 N^2 flops.
+        budget = spectral._BUDGET_SHARE * spectral._EIGH_FLOPS * max(n, LANCZOS_MIN_N) ** 3
+        assert len(lanczos_steps) <= budget / (2 * n * n) + 1
+
+    def test_doubling_m_continues_the_krylov_run(self, lanczos_steps):
+        # M = 12 settles in 21 steps without certifying; M = 24 then needs
+        # 11 more steps of the same run, not 32 from the start.
+        data, _ = gen_directions(6, 2000, seed=7)
+        gram = build_gram(data, KernelSpec(gaussian(0.3), PROJ))
+        eig = truncated_eig(gram, 6)
+        assert len(eig.eigenvalues) == 24
+        assert len(lanczos_steps) <= 32
+        assert lanczos_steps == list(range(1, len(lanczos_steps) + 1))
 
     def test_repeated_top_eigenvalue_selects_the_dense_axes(self):
         # Three equal blocks: the top eigenvalue 600 + 1e-3 has multiplicity
