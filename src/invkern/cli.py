@@ -107,7 +107,8 @@ def _write_heatmap(gram: np.ndarray, labels, path: Path) -> None:
     if labels is not None:
         order = np.argsort(labels, kind="stable")
         gram = gram[np.ix_(order, order)]
-    path.write_text(heatmap_svg(gram), encoding="utf-8")
+    with open(path, "wb") as handle:
+        heatmap_svg(gram, handle)
 
 
 def _write_scatter(points: np.ndarray, result, path: Path) -> None:

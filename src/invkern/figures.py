@@ -4,10 +4,13 @@ Text output only: every point is one <circle class="pt"> and every
 matrix cell one <rect class="cell">, at any matrix size (no pooling), so
 tests can count nodes, and identical inputs produce byte-identical files.
 The heatmap formats each x and y coordinate once, builds one byte
-template of a whole row per width of the y text, and fills a single
-output buffer in chunks of rows: numpy copies the template and writes
-each cell's y and six colour digits by fancy indexing.  Its Python work
-is per column and per row chunk, never per cell.
+template of a whole row per width of the y text, and streams the
+document into an open binary file in chunks of 64 rows: numpy copies the
+template into a chunk buffer, writes each cell's y and six colour digits
+by fancy indexing, and the filled chunk goes straight to the file.  No
+whole document is ever held: beyond the matrix itself, peak memory is
+about two chunks whatever the matrix size.  Its Python work is per
+column and per row chunk, never per cell.
 """
 
 from __future__ import annotations
@@ -27,15 +30,15 @@ _HEAT_LOW = (255, 255, 255)
 _HEAT_HIGH = (8, 48, 107)
 _HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _CLOSER = '"/>\n'
-_CLOSING = "</svg>\n"
+_CLOSING = b"</svg>\n"
 
 # The scatter plot's side and margin in pixels, and each point's radius.
 _SCATTER_SIZE = 480
 _SCATTER_MARGIN = 30.0
 _POINT_RADIUS = 3.5
 
-# Heatmap rows filled from their template at once; bounds the colour
-# temporaries to this many rows of cells.
+# Heatmap rows filled from their template and written at once; bounds the
+# chunk buffer and the colour temporaries to this many rows of cells.
 _CHUNK_ROWS = 64
 
 
@@ -75,34 +78,41 @@ def scatter_svg(points, labels=None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def heatmap_svg(matrix, size: int = 480) -> str:
-    """SVG heatmap, one rect per matrix cell, dark cells for large values.
+def heatmap_svg(matrix, file, size: int = 480) -> None:
+    """Write an SVG heatmap to ``file``, one rect per matrix cell.
 
-    A value range wider than the largest float is coloured at half scale.
-    Raises ValidationError for an empty matrix or a non-finite entry.
+    ``file`` is an open binary file, as ``open(path, "wb")`` returns, or
+    an ``io.BytesIO``; the ASCII bytes go to it 64 rows at a time, and
+    nothing is returned.  Large values are dark.  A value range wider than
+    the largest float is coloured at half scale.  Raises ValidationError
+    for an empty matrix or a non-finite entry, before the first byte is
+    written.
     """
     values = np.asarray(matrix, dtype=float)
     if values.ndim != 2:
         raise ValidationError("heatmap_svg expects a 2-D matrix")
     if values.size == 0:
         raise ValidationError(f"heatmap_svg expects a non-empty matrix, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("heatmap_svg expects finite values")
     n_rows, n_cols = values.shape
+    # min and max propagate nan and reach ±inf when one is present.
     vmin = float(values.min())
     vmax = float(values.max())
-    if not np.isfinite(vmax - vmin):
+    if not (np.isfinite(vmin) and np.isfinite(vmax)):
+        raise ValidationError("heatmap_svg expects finite values")
+    halve = not np.isfinite(vmax - vmin)
+    if halve:
         # Halving is exact for normal values and brings the range below the
-        # largest float; at full scale every t would be 0 or nan.
-        values, vmin, vmax = values * 0.5, vmin * 0.5, vmax * 0.5
+        # largest float; at full scale every t would be 0 or nan.  Each
+        # chunk's rows are halved as they are coloured.
+        vmin, vmax = vmin * 0.5, vmax * 0.5
     span = vmax - vmin if vmax > vmin else 1.0
     cell_w = size / n_cols
     cell_h = size / n_rows
-    opening = (
+    file.write((
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">\n'
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n'
-    )
+    ).encode("ascii"))
     heads = [f'<rect class="cell" x="{_fmt(j * cell_w)}" y="' for j in range(n_cols)]
     tail = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="#'
     ys = [_fmt(i * cell_h) for i in range(n_rows)]
@@ -112,14 +122,6 @@ def heatmap_svg(matrix, size: int = 480) -> str:
     # cells' worth of the other parts.
     head_ends = np.cumsum([len(h) for h in heads])
     fixed = len(tail) + 6 + len(_CLOSER)
-    out = np.empty(
-        len(opening) + n_rows * (int(head_ends[-1]) + n_cols * fixed)
-        + n_cols * sum(map(len, ys)) + len(_CLOSING),
-        dtype=np.uint8,
-    )
-    out[:len(opening)] = _bytes(opening)
-    out[out.size - len(_CLOSING):] = _bytes(_CLOSING)
-    pos = len(opening)
     first = 0
     for width, run in groupby(ys, key=len):
         y_text = "".join(run)
@@ -129,15 +131,17 @@ def heatmap_svg(matrix, size: int = 480) -> str:
         y_cols = y_at[:, None] + np.arange(width)
         hex_cols = (y_at + width + len(tail))[:, None] + np.arange(6)
         y_bytes = _bytes(y_text).reshape(count, 1, width)
+        chunk = np.empty((min(count, _CHUNK_ROWS), template.size), dtype=np.uint8)
         for lo in range(0, count, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, count)
-            block = out[pos:pos + (hi - lo) * template.size].reshape(hi - lo, template.size)
+            block = chunk[:hi - lo]
             block[:] = template
             block[:, y_cols] = y_bytes[lo:hi]
-            block[:, hex_cols] = _hex_colours(values[first + lo:first + hi], vmin, span)
-            pos += block.size
+            rows = values[first + lo:first + hi]
+            block[:, hex_cols] = _hex_colours(rows * 0.5 if halve else rows, vmin, span)
+            file.write(block)
         first += count
-    return str(memoryview(out), "ascii")
+    file.write(_CLOSING)
 
 
 def _hex_colours(rows: np.ndarray, vmin: float, span: float) -> np.ndarray:

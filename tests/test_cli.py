@@ -365,8 +365,11 @@ class TestGram:
         assert err.endswith(" at line 2\n")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_heatmap_is_the_oracle_of_the_label_ordered_gram(self, capsys, tmp_path):
-        data = gen_xor(10, 0.15, seed=3)
+    # 40 points fit in one 64-row chunk; 132 cross two chunk edges, and
+    # their y text grows from 5 to 6 to 7 characters at rows 3 and 28.
+    @pytest.mark.parametrize("n_per_arm", [10, 33])
+    def test_heatmap_is_the_oracle_of_the_label_ordered_gram(self, capsys, tmp_path, n_per_arm):
+        data = gen_xor(n_per_arm, 0.15, seed=3)
         shuffled = np.random.default_rng(5).permutation(len(data))
         csv_path = tmp_path / "pts.csv"
         save_dataset(Dataset(data.points[shuffled], data.labels[shuffled], data.meta), csv_path)

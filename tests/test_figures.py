@@ -1,5 +1,6 @@
 """SVG emitter tests: validity, node counts, determinism."""
 
+import io
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -12,6 +13,25 @@ from invkern.invariance import SIGN
 from oracles import heatmap_oracle
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def heatmap_text(matrix, size=480):
+    """The heatmap that heatmap_svg writes, as text."""
+    sink = io.BytesIO()
+    heatmap_svg(matrix, sink, size=size)
+    return sink.getvalue().decode()
+
+
+class ByteCounter:
+    """A binary sink that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, data):
+        size = memoryview(data).nbytes
+        self.written += size
+        return size
 
 
 def _halfway_row():
@@ -31,7 +51,7 @@ def _halfway_row():
     np.array([[5.0]]),
 ], ids=["square", "7x11", "constant", "halfway", "1x1"])
 def test_heatmap_matches_per_cell_oracle(matrix):
-    assert heatmap_svg(matrix) == heatmap_oracle(matrix)
+    assert heatmap_text(matrix) == heatmap_oracle(matrix)
 
 
 def _wide_negative():
@@ -54,33 +74,44 @@ def test_heatmap_matches_per_cell_oracle_across_template_edges(matrix, size):
     # so runs of one width end in partial chunks.  65 and 129 rows: one row
     # past a chunk edge.  size 5000: 8-character coordinates.
     # wide-negative: values from -1e300 to -1e-300.
-    assert heatmap_svg(matrix, size=size) == heatmap_oracle(matrix, size=size)
+    assert heatmap_text(matrix, size=size) == heatmap_oracle(matrix, size=size)
 
 
-def test_heatmap_of_a_range_past_the_float_maximum_is_drawn_at_half_scale():
+def _past_float_max_rows():
+    rng = np.random.default_rng(73)
+    return (rng.random((130, 3)) * 2.0 - 1.0) * 1.7e308
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[1e308, -1e308], [0.0, 5e307]]),
+    _past_float_max_rows(),
+], ids=["2x2", "130x3"])
+def test_heatmap_of_a_range_past_the_float_maximum_is_drawn_at_half_scale(matrix):
     # At full scale vmax - vmin is inf, so every colour would be nan.
-    matrix = np.array([[1e308, -1e308], [0.0, 5e307]])
-    svg = heatmap_svg(matrix)
+    # 130 rows: every 64-row chunk is halved as it is coloured.
+    svg = heatmap_text(matrix)
     assert svg == heatmap_oracle(matrix * 0.5)
     assert 'fill="#08306b"' in svg and 'fill="#ffffff"' in svg
 
 
-def test_heatmap_peak_memory_is_about_two_texts():
-    # One output buffer and its decoded str; per-cell strings would be more.
+def test_heatmap_peak_memory_is_a_few_chunks():
+    # Chunks go straight to the file: the peak is bounded by the 64-row
+    # chunk and its colour temporaries, not by the document.
     matrix = np.random.default_rng(72).random((600, 600))
+    sink = ByteCounter()
     tracemalloc.start()
     try:
-        svg = heatmap_svg(matrix)
+        heatmap_svg(matrix, sink)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * len(svg)
+    assert peak <= 3 * sink.written * 64 / len(matrix)
 
 
 def test_heatmap_of_gram_matches_per_cell_oracle():
     points = np.random.default_rng(65).standard_normal((40, 3))
     gram = kernel_matrix(points, KernelSpec(gaussian(1.0), SIGN))
-    assert heatmap_svg(gram, size=300) == heatmap_oracle(gram, size=300)
+    assert heatmap_text(gram, size=300) == heatmap_oracle(gram, size=300)
 
 
 def test_halfway_row_holds_exact_ties():
@@ -100,8 +131,10 @@ def test_halfway_row_holds_exact_ties():
     (np.zeros((0, 3)), "non-empty"),
 ])
 def test_heatmap_rejects_non_finite_or_empty(matrix, message):
+    sink = ByteCounter()
     with pytest.raises(ValueError, match=message):
-        heatmap_svg(matrix)
+        heatmap_svg(matrix, sink)
+    assert sink.written == 0
 
 
 def test_scatter_is_valid_xml_with_one_circle_per_point():
@@ -118,7 +151,7 @@ def test_scatter_is_valid_xml_with_one_circle_per_point():
 def test_heatmap_is_valid_xml_with_one_rect_per_cell():
     rng = np.random.default_rng(61)
     matrix = rng.random((9, 9))
-    svg = heatmap_svg(matrix)
+    svg = heatmap_text(matrix)
     root = ET.fromstring(svg)
     cells = [r for r in root.findall(f"{SVG_NS}rect") if r.get("class") == "cell"]
     assert len(cells) == 81
@@ -129,11 +162,11 @@ def test_outputs_are_deterministic():
     pts = rng.standard_normal((10, 2))
     assert scatter_svg(pts) == scatter_svg(pts)
     matrix = rng.random((4, 4))
-    assert heatmap_svg(matrix) == heatmap_svg(matrix)
+    assert heatmap_text(matrix) == heatmap_text(matrix)
 
 
 def test_constant_matrix_does_not_divide_by_zero():
-    svg = heatmap_svg(np.ones((3, 3)))
+    svg = heatmap_text(np.ones((3, 3)))
     assert svg.count('class="cell"') == 9
 
 

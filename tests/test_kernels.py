@@ -2,21 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invkern import (
+    PROJ,
     BaseKernel,
+    Invariance,
     KernelSpec,
     ScalarTriple,
+    chain,
+    eval_kernel,
+    format_invariance,
     gaussian,
     kernel_triple,
     laplace,
     linear,
+    parse_invariance,
     poly,
     polyhom,
+    rotation,
     triple_value,
 )
-from invkern.errors import DimensionError, NegativeDistanceError, ValidationError
-from invkern.kernels import base_values, squared_distance
+from invkern.errors import DimensionError, NegativeDistanceError, NumericalError, ValidationError
+from invkern.invariance import KINDS
+from invkern.kernels import FAMILIES, base_values, squared_distance
 from oracles import eval_base, inner_product, make_triple
 
 PLAIN = KernelSpec(linear())
@@ -249,3 +259,58 @@ class TestValidation:
         with pytest.raises(NegativeDistanceError) as err:
             squared_distance(np.array([1.0, 1.0]), np.array([0.0, 5.0]), np.array([1.0, 1.0]))
         assert err.value.index == 1
+
+
+# Parameter values a caller might pass for m, sigma or degree: small and
+# huge ints, every float (nan, inf, subnormals), bools, strings and numpy
+# scalars.
+ODD_PARAMETERS = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.sampled_from([10**30, -10**30, 2**63, 10**400]),
+    st.floats(),
+    st.sampled_from([1e-320, 5e-324, 1e308, -0.0, 2.0, 0.5]),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([np.int64(3), np.int8(-1), np.uint64(2**63), np.float32(2.0),
+                     np.float64(np.nan), np.float64(np.inf), np.bool_(True), np.str_("2")]),
+)
+
+
+def odd_or(plain):
+    """An odd parameter half the time, else ``plain``, so that each odd
+    value is also drawn beside others that construct."""
+    return st.booleans().flatmap(lambda odd: ODD_PARAMETERS if odd else st.just(plain))
+
+
+_PAIR = np.array([[1.0 - 0.5j, 0.25 + 2.0j, -1.5], [0.5 + 1.0j, -2.0, 0.75 - 0.25j]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    kind=st.sampled_from(KINDS),
+    m=st.sampled_from([0, 2, 3]).flatmap(odd_or),
+    sigma=odd_or(1.0),
+    degree=odd_or(2),
+)
+def test_constructors_reject_or_build_a_working_spec(family, kind, m, sigma, degree):
+    # Either construction raises ValidationError, or the spec evaluates to a
+    # finite value or a typed NumericalError and its invariance round-trips
+    # through the text grammar.
+    try:
+        base = BaseKernel(family, sigma=sigma, degree=degree)
+        if kind == "rotation":
+            invariance = rotation(m)
+        elif kind == "chain":
+            invariance = chain(rotation(m), PROJ)
+        else:
+            invariance = Invariance(kind, m=m)
+    except ValidationError:
+        return
+    try:
+        value = eval_kernel(KernelSpec(base, invariance), *_PAIR)
+    except NumericalError:
+        pass
+    else:
+        assert type(value) is float and np.isfinite(value)
+    assert parse_invariance(format_invariance(invariance)) == invariance
