@@ -74,9 +74,10 @@ def _write_labels(labels, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# Rows of gram.csv formatted together; 64 rows keep the block's own cell
-# strings small beside the text kept for the rows below it.
-_GRAM_CSV_BLOCK = 64
+# Rows of gram.csv formatted together; 16 rows keep the block's own cell
+# strings small beside the text kept for the rows below it.  Fewer rows
+# make more pending chunks, whose headers cost more than the block saves.
+_GRAM_CSV_BLOCK = 16
 
 
 def _write_gram_csv(values: np.ndarray, path: Path) -> None:
@@ -86,7 +87,7 @@ def _write_gram_csv(values: np.ndarray, path: Path) -> None:
     makes it: each symmetric pair is formatted once, in a block of rows
     holding its upper cell.  The cells right of a block become one joined
     chunk per later row, and a row's chunks are freed once it is written,
-    so at most N²/4 cells are held, as joined text.
+    so at most N²/4 cells plus one 16-row block's cell strings are held.
     """
     n = len(values)
     pending = [[] for _ in range(n)]  # per row: chunks of its cells left of the block
@@ -104,11 +105,9 @@ def _write_gram_csv(values: np.ndarray, path: Path) -> None:
 
 
 def _write_heatmap(gram: np.ndarray, labels, path: Path) -> None:
-    if labels is not None:
-        order = np.argsort(labels, kind="stable")
-        gram = gram[np.ix_(order, order)]
+    order = None if labels is None else np.argsort(labels, kind="stable")
     with open(path, "wb") as handle:
-        heatmap_svg(gram, handle)
+        heatmap_svg(gram, handle, order=order)
 
 
 def _write_scatter(points: np.ndarray, result, path: Path) -> None:

@@ -7,9 +7,10 @@ The heatmap formats each x and y coordinate once, builds one byte
 template of a whole row per width of the y text, and streams the
 document into an open binary file in chunks of 64 rows: numpy copies the
 template into a chunk buffer, writes each cell's y and six colour digits
-by fancy indexing, and the filled chunk goes straight to the file.  No
-whole document is ever held: beyond the matrix itself, peak memory is
-about two chunks whatever the matrix size.  Its Python work is per
+by fancy indexing, and the filled chunk goes straight to the file.  A
+row order (labels sorted) is gathered per chunk, never as a reordered
+copy of the matrix.  No whole document is ever held: beyond the matrix
+itself, peak memory is about two chunks whatever the matrix size.  Its Python work is per
 column and per row chunk, never per cell.
 """
 
@@ -78,14 +79,17 @@ def scatter_svg(points, labels=None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def heatmap_svg(matrix, file, size: int = 480) -> None:
+def heatmap_svg(matrix, file, size: int = 480, order=None) -> None:
     """Write an SVG heatmap to ``file``, one rect per matrix cell.
 
     ``file`` is an open binary file, as ``open(path, "wb")`` returns, or
     an ``io.BytesIO``; the ASCII bytes go to it 64 rows at a time, and
     nothing is returned.  Large values are dark.  A value range wider than
-    the largest float is coloured at half scale.  Raises ValidationError
-    for an empty matrix or a non-finite entry, before the first byte is
+    the largest float is coloured at half scale.  ``order``, a permutation
+    of the rows of a square matrix, draws ``matrix[np.ix_(order, order)]``
+    without building it: each 64-row chunk gathers its own rows.  Raises
+    ValidationError for an empty matrix, a non-finite entry or an
+    ``order`` that is no such permutation, before the first byte is
     written.
     """
     values = np.asarray(matrix, dtype=float)
@@ -94,6 +98,10 @@ def heatmap_svg(matrix, file, size: int = 480) -> None:
     if values.size == 0:
         raise ValidationError(f"heatmap_svg expects a non-empty matrix, got shape {values.shape}")
     n_rows, n_cols = values.shape
+    if order is not None:
+        order = np.asarray(order)
+        if n_rows != n_cols or not np.array_equal(np.sort(order), np.arange(n_rows)):
+            raise ValidationError("heatmap_svg expects order to permute a square matrix's rows")
     # min and max propagate nan and reach ±inf when one is present.
     vmin = float(values.min())
     vmax = float(values.max())
@@ -137,7 +145,10 @@ def heatmap_svg(matrix, file, size: int = 480) -> None:
             block = chunk[:hi - lo]
             block[:] = template
             block[:, y_cols] = y_bytes[lo:hi]
-            rows = values[first + lo:first + hi]
+            if order is None:
+                rows = values[first + lo:first + hi]
+            else:
+                rows = values[np.ix_(order[first + lo:first + hi], order)]
             block[:, hex_cols] = _hex_colours(rows * 0.5 if halve else rows, vmin, span)
             file.write(block)
         first += count

@@ -18,7 +18,7 @@ from invkern import (
     PROJ, SIGN, Dataset, KernelSpec, build_gram, gaussian, gen_directions, gen_xor, keca_embed,
     kmeans, linear, load_csv, save_dataset, sym_eig,
 )
-from invkern.cli import _write_gram_csv, main
+from invkern.cli import _write_gram_csv, _write_heatmap, main
 from invkern.errors import DegenerateEmbeddingError
 from oracles import heatmap_oracle, write_gram_csv_rows
 
@@ -397,26 +397,46 @@ def symmetric_gram(rng, n):
 
 
 class TestGramCsvWriter:
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 33, 63, 64, 65, 129, 300])
     def test_matches_per_row_writer(self, tmp_path, n):
-        # Sizes around the block height cover a partial and a single-row last block.
+        # Sizes around multiples of the 16-row block height cover a partial,
+        # a full and a single-row last block.
         gram = symmetric_gram(np.random.default_rng(n), n)
         _write_gram_csv(gram, tmp_path / "blocked.csv")
         write_gram_csv_rows(gram, tmp_path / "rows.csv")
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
-    def test_peak_memory_is_about_one_gram(self, tmp_path):
-        # At most N²/4 cells are held, as joined text; keeping a str object
-        # per cell for the rows below would peak at about 2.5 x the Gram.
-        n = 2000
+    def test_peak_memory_is_below_one_gram(self, tmp_path):
+        # At most N²/4 cells are held as joined text, plus one 16-row
+        # block's cell strings: about 0.95 x the Gram at N = 800.  64-row
+        # blocks peak at 1.7 x, and a str object per cell kept for the rows
+        # below at about 2.5 x.
+        n = 800
         gram = build_gram(gen_xor(n // 4, 0.15, seed=0), KernelSpec(gaussian(1.0)))
-        tracemalloc.start()
-        try:
-            _write_gram_csv(gram, tmp_path / "gram.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * gram.nbytes
+        assert peak_bytes(_write_gram_csv, gram, tmp_path / "gram.csv") <= 1.1 * gram.nbytes
+
+
+def peak_bytes(write, *args):
+    """The tracemalloc peak of one call of ``write``."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_labeled_heatmap_holds_no_reordered_gram(tmp_path):
+    # The label order is gathered per 64-row chunk, so labels add about
+    # 0.08 x the Gram to the writer's peak at 600 points; a reordered copy
+    # of the Gram would add 1 x.  The 64-row chunks themselves, the same
+    # with or without labels, are 2.4 x this Gram.
+    data = gen_xor(150, 0.15, seed=0)
+    gram = build_gram(data, KernelSpec(gaussian(1.0)))
+    labels = np.random.default_rng(0).permutation(data.labels)  # not already sorted
+    labeled = peak_bytes(_write_heatmap, gram, labels, tmp_path / "labeled.svg")
+    plain = peak_bytes(_write_heatmap, gram, None, tmp_path / "plain.svg")
+    assert labeled - plain < 0.5 * gram.nbytes
 
 
 class TestCluster:

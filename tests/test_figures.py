@@ -123,6 +123,27 @@ def test_halfway_row_holds_exact_ties():
     assert {int(np.floor(v)) % 2 for v in ties} == {0, 1}
 
 
+def test_heatmap_in_row_order_matches_reordered_matrix():
+    # 150 rows span three chunks and two widths of the y text.
+    matrix = np.random.default_rng(73).random((150, 150))
+    order = np.random.default_rng(74).permutation(150)
+    sink = io.BytesIO()
+    heatmap_svg(matrix, sink, order=order)
+    assert sink.getvalue().decode("ascii") == heatmap_oracle(matrix[np.ix_(order, order)])
+
+
+@pytest.mark.parametrize("matrix,order", [
+    (np.zeros((2, 3)), [0, 1]),
+    (np.zeros((2, 2)), [0, 0]),
+    (np.zeros((2, 2)), [0, 1, 2]),
+])
+def test_heatmap_rejects_order_that_is_no_permutation(matrix, order):
+    sink = ByteCounter()
+    with pytest.raises(ValueError, match="permute"):
+        heatmap_svg(matrix, sink, order=order)
+    assert sink.written == 0
+
+
 @pytest.mark.parametrize("matrix,message", [
     (np.array([[0.0, np.nan], [1.0, 2.0]]), "finite"),
     (np.array([[0.0, np.inf], [1.0, 2.0]]), "finite"),
