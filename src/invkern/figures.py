@@ -10,8 +10,8 @@ template into a chunk buffer, writes each cell's y and six colour digits
 by fancy indexing, and the filled chunk goes straight to the file.  A
 row order (labels sorted) is gathered per chunk, never as a reordered
 copy of the matrix.  No whole document is ever held: beyond the matrix
-itself, peak memory is about two chunks whatever the matrix size.  Its Python work is per
-column and per row chunk, never per cell.
+itself, peak memory is about two chunks whatever the matrix size.  Its
+Python work is per column and per row chunk, never per cell.
 """
 
 from __future__ import annotations

@@ -124,7 +124,7 @@ def test_halfway_row_holds_exact_ties():
 
 
 def test_heatmap_in_row_order_matches_reordered_matrix():
-    # 150 rows span three chunks and two widths of the y text.
+    # 150 rows cover the three widths of the y text, the widest in two chunks.
     matrix = np.random.default_rng(73).random((150, 150))
     order = np.random.default_rng(74).permutation(150)
     sink = io.BytesIO()
