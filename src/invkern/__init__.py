@@ -36,6 +36,7 @@ from .invariance import (
     check_invariance,
     eval_kernel,
     format_invariance,
+    gram_blocks,
     invariant_inner,
     kernel_label,
     kernel_matrix,

@@ -33,6 +33,7 @@ from .invariance import (
     SIGN,
     KernelSpec,
     format_invariance,
+    gram_blocks,
     kernel_label,
     kernel_triple,
     median_heuristic_sigma,
@@ -213,8 +214,8 @@ def cmd_cluster(args) -> None:
     if args.k > len(data):
         raise ParseError(f"--k {args.k} exceeds the point count {len(data)} of {args.input}")
     spec = _build_spec(args, points=data.points)
-    gram = build_gram(data, spec)
-    result = cluster_gram(gram, args.k, seed=args.seed)
+    # Row blocks of the Gram's upper part: no N x N array on the truncated path.
+    result = cluster_gram(gram_blocks(data.points, spec), args.k, seed=args.seed)
     out = _outdir(args)
     _write_labels(result.labels, out / "labels.csv")
     metrics = {"command": "cluster", "k": args.k}

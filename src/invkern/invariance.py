@@ -39,6 +39,12 @@ _MAX_CHAIN_DEPTH = 4
 # the rewrite and of the base kernel to TILE_ROWS x N values.
 TILE_ROWS = 128
 
+# Rows of each block of gram_blocks.  A multiple of every tile step, so no
+# tile straddles two blocks.  512 rows kept a 3000-point Gram's matvec at the
+# dense one's speed, where 256 and 128 rows cost 1.2 and 1.7 times as much
+# (README), and a Gram of at most 512 points is one block.
+GRAM_BLOCK_ROWS = 4 * TILE_ROWS
+
 # check_invariance's pass threshold, relative to the largest kernel
 # magnitude seen, floored at 1.
 INVARIANCE_TOLERANCE = 1e-10
@@ -305,7 +311,7 @@ def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols, out=None):
     return triple
 
 
-def triple_tiles(points, spec: Invariance | None, gram=None):
+def triple_tiles(points, spec: Invariance | None, blocks=None):
     """Row tiles of the upper triangle of a 2-D point array's triple field.
 
     Entry (i, j) is (<x_i,x_i>, <x_i,x_j>, <x_j,x_j>).  Each tile forms its
@@ -318,8 +324,10 @@ def triple_tiles(points, spec: Invariance | None, gram=None):
     the components broadcast to one shape, and ``sxy`` (or its real part)
     is the tile's own buffer, which the caller may overwrite.
 
-    With ``gram``, the N x N float array being filled bottom up, the
-    product and its rewrite go to the Gram's own memory at
+    With ``blocks``, the row blocks of a float Gram being filled bottom up
+    (block b holds rows b*h to b*h+h and columns b*h to N, h the first
+    block's height, a multiple of the tile steps; a square Gram is one
+    block), the product and its rewrite go to the blocks' own memory at
     :func:`_gram_tile`, and the next tile is built only when the caller
     asks for it.  A product of another dtype than the Gram's, such as a
     complex one, goes to one reused buffer of a real tile's bytes instead,
@@ -330,24 +338,27 @@ def triple_tiles(points, spec: Invariance | None, gram=None):
     points, adjoint = _triple_field(points, spec, ids)
     norms = np.empty(n, points.real.dtype)
     step, buffer = TILE_ROWS, None
-    if gram is not None and points.dtype != gram.dtype:
-        step = TILE_ROWS * gram.itemsize // points.itemsize
+    if blocks is not None and points.dtype != blocks[0].dtype:
+        step = TILE_ROWS * blocks[0].itemsize // points.itemsize
         buffer = np.empty(step * n, points.dtype)
     for start in reversed(range(0, n, step)):
         stop = min(start + step, n)
-        out = None if gram is None else _gram_tile(gram, start, stop)
+        out = None if blocks is None else _gram_tile(blocks, start, stop)
         if buffer is not None:
             out = buffer[: out.size].reshape(out.shape)
         yield start, stop, _tile_triple(spec, points, adjoint, ids, norms, start, stop, out)
 
 
-def _gram_tile(gram, start, stop):
+def _gram_tile(blocks, start, stop):
     # Where the tile of rows start:stop, columns start:N of a Gram filled bottom up
-    # is built: contiguously in the Gram's first values, the empty rows above it.
-    # Tiles start at multiples of a step and are at most a step high, so one below
-    # the top has start >= stop - start and fits; the top one is exactly gram[:stop].
-    shape = (stop - start, len(gram) - start)
-    return gram.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+    # is built: contiguously in its row block's first values, the empty rows above
+    # it.  Tiles start at multiples of a step that divides the block height and are
+    # at most a step high, so one below its block's top starts at least a tile's
+    # height into the block and fits; the top one is exactly its own rows.
+    height = len(blocks[0])
+    block, top = blocks[start // height], start % height
+    shape = (stop - start, block.shape[1] - top)
+    return block.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
 
 
 def _tile_triple(spec: Invariance | None, points, adjoint, ids, norms, start, stop, out=None):
@@ -415,29 +426,53 @@ def _checked_values(base: BaseKernel, triple, rows, cols, out=None) -> np.ndarra
     return values
 
 
+def _gram_blocks(points, spec: KernelSpec, height: int) -> tuple:
+    # The Gram in row blocks of `height` rows, as gram_blocks describes them.  Each
+    # tile, from the last one up, is built in its block's own memory by
+    # triple_tiles, turned into checked base-kernel values in place, copied to its
+    # rows and mirrored into the finished rows of its block below it.
+    n = len(points)
+    blocks = tuple(np.empty((min(b + height, n) - b, n - b)) for b in range(0, max(n, 1), height))
+    for start, stop, triple in triple_tiles(points, spec.invariance, blocks):
+        tile = _gram_tile(blocks, start, stop)
+        _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n], out=tile)
+        square = tile[:, : stop - start]
+        np.copyto(square, square.T, where=np.tri(stop - start, k=-1, dtype=bool))
+        block, top = blocks[start // height], start % height
+        bottom = top + stop - start
+        block[top:bottom, top:] = tile
+        block[bottom:, top:bottom] = block[top:bottom, bottom : len(block)].T
+    return blocks
+
+
 def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
     """Kernel values of every pair of rows of a 2-D point array.
 
     Entry (i, j) agrees with eval_kernel(spec, x_i, x_j) up to rounding:
     both take the norms from the diagonal of the product that gives <x,y>,
-    but BLAS may sum a tile's product and a 2x2 one in other orders.  Each
-    row tile of the upper triangle, from the last one up, is built in the
-    Gram's own memory by :func:`triple_tiles`, turned into checked
-    base-kernel values in place, copied to its rows and mirrored into the
-    finished rows below it, so the result is exactly symmetric.
-    A non-finite value raises NumericalError naming the pair: the first
-    failing pair of the lowest failing tile.
+    but BLAS may sum a tile's product and a 2x2 one in other orders.  The
+    Gram is the one block of :func:`gram_blocks`' builder: each row tile of
+    the upper triangle, from the last one up, is built in the Gram's own
+    memory by :func:`triple_tiles`, turned into checked base-kernel values
+    in place, copied to its rows and mirrored into the finished rows below
+    it, so the result is exactly symmetric.  A non-finite value raises
+    NumericalError naming the pair: the first failing pair of the lowest
+    failing tile.
     """
-    n = len(points)
-    gram = np.empty((n, n))
-    for start, stop, triple in triple_tiles(points, spec.invariance, gram):
-        tile = _gram_tile(gram, start, stop)
-        _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n], out=tile)
-        block = tile[:, : stop - start]
-        np.copyto(block, block.T, where=np.tri(stop - start, k=-1, dtype=bool))
-        gram[start:stop, start:] = tile
-        gram[stop:, start:stop] = gram[start:stop, stop:].T
-    return gram
+    return _gram_blocks(points, spec, max(len(points), 1))[0]
+
+
+def gram_blocks(points, spec: KernelSpec) -> tuple:
+    """The Gram of :func:`kernel_matrix` as a tuple of row blocks of its upper part.
+
+    Block b is rows b*512 to b*512+h, columns b*512 to N of that Gram, with
+    its own h x h square mirrored and nothing below it, so the blocks hold
+    about 0.58 of the Gram's values at N = 3000 and no N x N array exists.
+    Every value keeps its bits, and a Gram of at most ``GRAM_BLOCK_ROWS``
+    points is one block, the :func:`kernel_matrix` array itself.  The
+    spectral functions of :mod:`invkern.spectral` read either form.
+    """
+    return _gram_blocks(points, spec, GRAM_BLOCK_ROWS)
 
 
 def triple_value(base: BaseKernel, triple: ScalarTriple) -> float:

@@ -112,8 +112,12 @@ def squared_distance(sxx, sxy, syy, out=None):
     d2 = np.empty(np.broadcast_shapes(sxx.shape, s.shape, syy.shape)) if out is None else out
     # (sxx + syy) first: keeps the value exactly symmetric in x and y
     np.subtract(sxx + syy, np.multiply(s, 2.0, out=d2), out=d2)
-    # The tolerance is positive, so only a negative d2 can fall below it.
-    if np.any(d2 < 0.0):
+    # The tolerance is positive, so only a negative d2 can fall below it, and
+    # only a negative d2 needs the clamp: one reduction tests for both.  A NaN
+    # makes the minimum NaN and takes the branch too, so a negative value
+    # beside it is still reported; the clamp keeps the NaN for the callers'
+    # finiteness checks.
+    if d2.size and not d2.min() >= 0.0:
         bad = d2 < -1e-9 * np.maximum(np.maximum(sxx, syy), 1.0)
         if np.any(bad):
             index = int(np.argmax(bad))
@@ -123,7 +127,7 @@ def squared_distance(sxx, sxy, syy, out=None):
                 "the triple does not come from an inner product",
                 index=index,
             )
-    np.maximum(d2, 0.0, out=d2)
+        np.maximum(d2, 0.0, out=d2)
     return d2 if out is not None or d2.ndim else d2[()]
 
 

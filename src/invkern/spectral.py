@@ -8,6 +8,12 @@ eigenvalue, normalize rows, and run angular k-means.  From
 selection are computed (:func:`truncated_eig`), by one Lanczos run whose
 work is capped at a share of a dense solve's, after which the dense solve
 runs.
+
+The eigensolvers, the entropy and the embedding read a Gram as a plain
+N x N array or as the tuple of row blocks of
+:func:`invkern.invariance.gram_blocks`, which clustering builds: through
+its order N, its product with a vector and its mass 1'K1, and a dense
+solve unpacks the blocks into the Gram of ``kernel_matrix`` bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from .data import best_matching
 from .errors import DegenerateEmbeddingError, NumericalError, ValidationError
-from .invariance import KernelSpec, kernel_matrix
+from .invariance import KernelSpec, gram_blocks, kernel_matrix
 
 # Point count from which clustering computes only the certified top
 # eigenpairs.  Over seven Gram families the truncated path's total time is
@@ -53,12 +59,65 @@ class ClusteringResult:
     entropy_total: float
 
 
-def build_gram(data, spec: KernelSpec) -> np.ndarray:
-    """:func:`invkern.invariance.kernel_matrix` of a dataset or point array."""
+def _gram_points(data) -> np.ndarray:
+    # The points of a dataset or point array, at least two of them.
     points = np.asarray(getattr(data, "points", data))
     if len(points) < 2:
         raise ValidationError("need at least two points to build a Gram matrix")
-    return kernel_matrix(points, spec)
+    return points
+
+
+def build_gram(data, spec: KernelSpec) -> np.ndarray:
+    """:func:`invkern.invariance.kernel_matrix` of a dataset or point array."""
+    return kernel_matrix(_gram_points(data), spec)
+
+
+def _as_gram(gram):
+    # A tuple of row blocks as it is, anything else as a float array.
+    return gram if isinstance(gram, tuple) else np.asarray(gram, dtype=float)
+
+
+def _order(gram) -> int:
+    # N: a block's columns run from its first row to the last column.
+    return gram[0].shape[1] if isinstance(gram, tuple) else len(gram)
+
+
+def _matvec(gram, v: np.ndarray) -> np.ndarray:
+    # G @ v.  A block gives its own rows through its square and rectangle, and
+    # the rows below it through the rectangle's transpose.
+    if not isinstance(gram, tuple):
+        return gram @ v
+    y = np.zeros(len(v))
+    start = 0
+    for block in gram:
+        stop = start + len(block)
+        y[start:stop] += block @ v[start:]
+        y[stop:] += v[start:stop] @ block[:, stop - start :]
+        start = stop
+    return y
+
+
+def _mass(gram):
+    # 1'K1: each block's square once and its rectangle twice, for the mirror
+    # that no block holds.
+    if not isinstance(gram, tuple):
+        return gram.sum()
+    return sum(block[:, : len(block)].sum() + 2.0 * block[:, len(block) :].sum() for block in gram)
+
+
+def _dense(gram) -> np.ndarray:
+    # The N x N Gram: row blocks unpacked and mirrored into the lower triangle,
+    # equal to kernel_matrix's Gram bit for bit; a plain array as it is.
+    if not isinstance(gram, tuple):
+        return gram
+    dense = np.empty((_order(gram), _order(gram)))
+    start = 0
+    for block in gram:
+        stop = start + len(block)
+        dense[start:stop, start:] = block
+        dense[stop:, start:stop] = block[:, stop - start :].T
+        start = stop
+    return dense
 
 
 @dataclass(frozen=True)
@@ -115,19 +174,21 @@ def _dense_eig(values: np.ndarray) -> EigenDecomposition:
 def sym_eig(gram, n_axes: int | None = None) -> EigenDecomposition:
     """Symmetric eigendecomposition, descending, fixed signs.
 
-    Without ``n_axes``, all N eigenpairs from dense ``eigh`` (N <= 5000).
-    With ``n_axes`` and N >= ``LANCZOS_MIN_N``, only the top eigenpairs
-    that certify the entropy selection of ``n_axes`` axes
-    (:func:`truncated_eig`), or all N when Lanczos spends its budget
-    first.  The sign convention makes the
+    ``gram`` is an N x N array or a tuple of row blocks
+    (:func:`invkern.invariance.gram_blocks`).  Without ``n_axes``, all N
+    eigenpairs from dense ``eigh`` (N <= 5000), of the blocks unpacked
+    into one N x N array.  With ``n_axes`` and N >= ``LANCZOS_MIN_N``,
+    only the top eigenpairs that certify the entropy selection of
+    ``n_axes`` axes (:func:`truncated_eig`), or all N when Lanczos spends
+    its budget first.  The sign convention makes the
     largest-magnitude component of each eigenvector positive, so outputs
     are reproducible across runs.  An eigenvalue that overflows raises
     NumericalError.
     """
-    gram = np.asarray(gram, dtype=float)
-    if n_axes is not None and len(gram) >= LANCZOS_MIN_N:
+    gram = _as_gram(gram)
+    if n_axes is not None and _order(gram) >= LANCZOS_MIN_N:
         return truncated_eig(gram, n_axes)
-    return _dense_eig(gram)
+    return _dense_eig(_dense(gram))
 
 
 def _entropy_ranking(eig: EigenDecomposition, n: int):
@@ -164,7 +225,7 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w
 
 
-def _lanczos(gram: np.ndarray, m: int, v0: np.ndarray):
+def _lanczos(gram, m: int, v0: np.ndarray):
     """Yield the top ``m``, ``2m``, ``4m``, ... eigenpairs of one Krylov run from ``v0``.
 
     Single-vector Lanczos with full reorthogonalization (two Gram-Schmidt
@@ -183,7 +244,7 @@ def _lanczos(gram: np.ndarray, m: int, v0: np.ndarray):
     reach _BUDGET_SHARE of a dense eigh's (of max(N, LANCZOS_MIN_N)
     points), or when a value overflows.
     """
-    n = len(gram)
+    n = _order(gram)
     budget = _BUDGET_SHARE * _EIGH_FLOPS * max(n, LANCZOS_MIN_N) ** 3
     basis = np.empty((min(n, 2 * m), n))
     alpha, beta = np.zeros(n), np.zeros(n)
@@ -193,7 +254,7 @@ def _lanczos(gram: np.ndarray, m: int, v0: np.ndarray):
     for j in range(n):
         done = basis[: j + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            w = gram @ basis[j]
+            w = _matvec(gram, basis[j])
             alpha[j] = basis[j] @ w
             beta[j] = np.linalg.norm(_orthogonalize(w, done))
             finite = np.isfinite(alpha[j] + beta[j])
@@ -234,11 +295,13 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     contribution exceeds that bound (by a relative 1e-9 for solver
     tolerance) the selection equals the dense one.  When Lanczos stops
     first (its work budget spent, or an exhausted breakdown or overflow,
-    see :func:`_lanczos`), the result is the dense decomposition.  Order
-    and signs follow :func:`sym_eig`.
+    see :func:`_lanczos`), the result is the dense decomposition, of row
+    blocks unpacked into one N x N array.  Lanczos reads ``gram``, an
+    N x N array or a tuple of row blocks, only through its products with
+    vectors.  Order and signs follow :func:`sym_eig`.
     """
-    gram = np.asarray(gram, dtype=float)
-    n = len(gram)
+    gram = _as_gram(gram)
+    n = _order(gram)
     if not 1 <= n_axes <= n:
         raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
     # A random start, not ones(N): the Krylov space of ones cannot reach
@@ -249,7 +312,7 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
         contributions, order = _entropy_ranking(eig, n)
         if contributions[order[n_axes - 1]] > bound * (1.0 + 1e-9):
             return eig
-    return _dense_eig(gram)
+    return _dense_eig(_dense(gram))
 
 
 def renyi_entropy(gram, eig: EigenDecomposition | None = None):
@@ -258,13 +321,15 @@ def renyi_entropy(gram, eig: EigenDecomposition | None = None):
     Axis i contributes lambda_i * (v_i' 1)^2 / N^2, one value per
     eigenpair of ``eig``.  Over the full decomposition (the default) the
     contributions sum back to the total, which is the conservation law
-    the tests pin; over a truncated one they fall short of it.  A mass
-    that overflows raises NumericalError.
+    the tests pin; over a truncated one they fall short of it.  Of a
+    tuple of row blocks, the mass sums each block's square and twice its
+    rectangle, so it can differ from the N x N array's sum in the last
+    bits.  A mass that overflows raises NumericalError.
     """
-    gram = np.asarray(gram, dtype=float)
-    n = len(gram)
+    gram = _as_gram(gram)
+    n = _order(gram)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(gram.sum()) / n**2
+        total = float(_mass(gram)) / n**2
     if not np.isfinite(total):
         raise NumericalError("the Gram's entropy mass 1'K1 overflows")
     if eig is None:
@@ -281,7 +346,7 @@ def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
     rows to unit length; rows with norm below 1e-12 are left as zero
     vectors.
     """
-    n = len(gram)
+    n = _order(gram)
     if not 1 <= n_axes <= n:
         raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
     if eig is None:
@@ -384,8 +449,11 @@ def kmeans(points, k: int, seed: int = 0):
 def cluster_gram(gram, k: int, seed: int = 0) -> ClusteringResult:
     """Run the spectral pipeline on a prebuilt Gram matrix, embedding on k axes.
 
-    From ``LANCZOS_MIN_N`` points on, ``entropy_contributions`` holds one
-    value per computed eigenpair (see :func:`truncated_eig`), not N.
+    ``gram`` is an N x N array or a tuple of row blocks
+    (:func:`invkern.invariance.gram_blocks`), which holds no N x N array
+    unless the eigensolver falls back to dense.  From ``LANCZOS_MIN_N``
+    points on, ``entropy_contributions`` holds one value per computed
+    eigenpair (see :func:`truncated_eig`), not N.
     """
     eig = sym_eig(gram, k)
     total, contributions = renyi_entropy(gram, eig)
@@ -405,10 +473,11 @@ def cluster_gram(gram, k: int, seed: int = 0) -> ClusteringResult:
 def spectral_cluster(data, spec: KernelSpec, k: int, seed: int = 0) -> ClusteringResult:
     """Entropy-ranked kernel spectral clustering of a dataset.
 
-    Pipeline: Gram matrix -> entropy decomposition -> embedding on the
-    top k axes -> angular k-means.
+    Pipeline: Gram row blocks (:func:`invkern.invariance.gram_blocks`)
+    -> entropy decomposition -> embedding on the top k axes -> angular
+    k-means.
     """
-    return cluster_gram(build_gram(data, spec), k, seed=seed)
+    return cluster_gram(gram_blocks(_gram_points(data), spec), k, seed=seed)
 
 
 def clustering_accuracy(labels, truth) -> float:

@@ -365,8 +365,8 @@ class TestGram:
         assert err.endswith(" at line 2\n")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    # 40 points fit in one 64-row chunk; 132 cross two chunk edges, and
-    # their y text grows from 5 to 6 to 7 characters at rows 3 and 28.
+    # 40 points fit in one chunk; 132 cross a chunk edge, and their y text
+    # grows from 5 to 6 to 7 characters at rows 3 and 28.
     @pytest.mark.parametrize("n_per_arm", [10, 33])
     def test_heatmap_is_the_oracle_of_the_label_ordered_gram(self, capsys, tmp_path, n_per_arm):
         data = gen_xor(n_per_arm, 0.15, seed=3)
@@ -427,10 +427,9 @@ def peak_bytes(write, *args):
 
 
 def test_labeled_heatmap_holds_no_reordered_gram(tmp_path):
-    # The label order is gathered per 64-row chunk, so labels add about
-    # 0.08 x the Gram to the writer's peak at 600 points; a reordered copy
-    # of the Gram would add 1 x.  The 64-row chunks themselves, the same
-    # with or without labels, are 2.4 x this Gram.
+    # The label order is gathered per chunk, so labels add about 0.08 x
+    # the Gram to the writer's peak at 600 points; a reordered copy of the
+    # Gram would add 1 x.
     data = gen_xor(150, 0.15, seed=0)
     gram = build_gram(data, KernelSpec(gaussian(1.0)))
     labels = np.random.default_rng(0).permutation(data.labels)  # not already sorted

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import invkern.figures as figures
 from invkern import KernelSpec, gaussian, kernel_matrix
 from invkern.figures import heatmap_svg, scatter_svg
 from invkern.invariance import SIGN
@@ -20,6 +21,15 @@ def heatmap_text(matrix, size=480):
     sink = io.BytesIO()
     heatmap_svg(matrix, sink, size=size)
     return sink.getvalue().decode()
+
+
+def chunk_rows(monkeypatch, matrix, rows, size=480):
+    """Make heatmap chunks ``rows`` rows of the matrix's widest row template
+    high, as the last row's cells are; ``None`` keeps the default budget."""
+    if rows is not None:
+        n_cols = np.shape(matrix)[1]
+        last_row = heatmap_oracle(matrix, size=size).splitlines(keepends=True)[-1 - n_cols:-1]
+        monkeypatch.setattr(figures, "_CHUNK_BYTES", rows * len("".join(last_row)))
 
 
 class ByteCounter:
@@ -68,12 +78,14 @@ def _wide_negative():
     (np.random.default_rng(71).standard_normal((20, 30)), 5000),
     (_wide_negative(), 480),
 ], ids=["3x700", "700x3", "65x65", "129x129", "size5000", "wide-negative"])
-def test_heatmap_matches_per_cell_oracle_across_template_edges(matrix, size):
+@pytest.mark.parametrize("rows", [None, 64], ids=["1MiB", "64rows"])
+def test_heatmap_matches_per_cell_oracle_across_template_edges(monkeypatch, matrix, size, rows):
     # 3x700: the x text grows from 5 to 6 to 7 characters along a row.
-    # 700x3: the y width changes at rows 15 and 146, inside 64-row blocks,
+    # 700x3: the y width changes at rows 15 and 146, inside 64-row chunks,
     # so runs of one width end in partial chunks.  65 and 129 rows: one row
-    # past a chunk edge.  size 5000: 8-character coordinates.
+    # past a 64-row chunk edge.  size 5000: 8-character coordinates.
     # wide-negative: values from -1e300 to -1e-300.
+    chunk_rows(monkeypatch, matrix, rows, size=size)
     assert heatmap_text(matrix, size=size) == heatmap_oracle(matrix, size=size)
 
 
@@ -86,17 +98,22 @@ def _past_float_max_rows():
     np.array([[1e308, -1e308], [0.0, 5e307]]),
     _past_float_max_rows(),
 ], ids=["2x2", "130x3"])
-def test_heatmap_of_a_range_past_the_float_maximum_is_drawn_at_half_scale(matrix):
+@pytest.mark.parametrize("rows", [None, 64], ids=["1MiB", "64rows"])
+def test_heatmap_of_a_range_past_the_float_maximum_is_drawn_at_half_scale(
+    monkeypatch, matrix, rows
+):
     # At full scale vmax - vmin is inf, so every colour would be nan.
     # 130 rows: every 64-row chunk is halved as it is coloured.
+    chunk_rows(monkeypatch, matrix * 0.5, rows)
     svg = heatmap_text(matrix)
     assert svg == heatmap_oracle(matrix * 0.5)
     assert 'fill="#08306b"' in svg and 'fill="#ffffff"' in svg
 
 
 def test_heatmap_peak_memory_is_a_few_chunks():
-    # Chunks go straight to the file: the peak is bounded by the 64-row
-    # chunk and its colour temporaries, not by the document.
+    # Chunks go straight to the file: the peak is bounded by the chunk's
+    # byte budget and its colour temporaries, not by the document.  At 600
+    # points that is about 0.8 x the matrix; 64-row chunks took 2.4 x.
     matrix = np.random.default_rng(72).random((600, 600))
     sink = ByteCounter()
     tracemalloc.start()
@@ -105,7 +122,8 @@ def test_heatmap_peak_memory_is_a_few_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * sink.written * 64 / len(matrix)
+    assert peak <= 3 * figures._CHUNK_BYTES
+    assert peak <= 1.5 * matrix.nbytes
 
 
 def test_heatmap_of_gram_matches_per_cell_oracle():
@@ -123,9 +141,12 @@ def test_halfway_row_holds_exact_ties():
     assert {int(np.floor(v)) % 2 for v in ties} == {0, 1}
 
 
-def test_heatmap_in_row_order_matches_reordered_matrix():
-    # 150 rows cover the three widths of the y text, the widest in two chunks.
+@pytest.mark.parametrize("rows", [None, 64], ids=["1MiB", "64rows"])
+def test_heatmap_in_row_order_matches_reordered_matrix(monkeypatch, rows):
+    # 150 rows cover the three widths of the y text, the widest in two
+    # 64-row chunks.
     matrix = np.random.default_rng(73).random((150, 150))
+    chunk_rows(monkeypatch, matrix, rows)
     order = np.random.default_rng(74).permutation(150)
     sink = io.BytesIO()
     heatmap_svg(matrix, sink, order=order)

@@ -24,6 +24,7 @@ from invkern import (
     eval_kernel,
     format_invariance,
     gaussian,
+    gram_blocks,
     invariant_inner,
     kernel_label,
     kernel_matrix,
@@ -42,7 +43,7 @@ from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_se
 from invkern.errors import (
     FieldError, NumericalError, ParseError, ValidationError, ZeroVectorError,
 )
-from invkern.invariance import _gram_tile, triple_tiles
+from invkern.invariance import GRAM_BLOCK_ROWS, _gram_tile, triple_tiles
 from invkern.kernels import base_values, squared_distance
 from oracles import OracleSizeError, frobenius_inner, median_distance, quotient_map_oracle
 
@@ -742,23 +743,27 @@ class TestOutBuffers:
 
 
 class TestGramTiles:
-    # kernel_matrix fills the Gram bottom up: each tile is built contiguously in
-    # the Gram's first values, the empty rows above it, never in the finished
-    # rows below it; the top tile is exactly its own rows.
+    # kernel_matrix and gram_blocks fill the Gram bottom up: each tile is built
+    # contiguously in its row block's first values, the empty rows above it, never
+    # in the finished rows below it; a block's top tile is exactly its own rows.
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 1000])
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_tiles_are_contiguous_and_above_the_finished_rows(self, n, field):
+    @pytest.mark.parametrize("height", [None, GRAM_BLOCK_ROWS], ids=["square", "blocks"])
+    def test_tiles_are_contiguous_and_above_the_finished_rows(self, n, field, height):
         rng = np.random.default_rng(37)
         pts = rng.standard_normal((n, 3)) if field == "real" else complex_points(rng, n, 3)
-        gram = np.empty((n, n))
+        height = height or n
+        blocks = tuple(np.empty((min(b + height, n) - b, n - b)) for b in range(0, n, height))
         starts = []
-        for start, stop, _ in triple_tiles(pts, None, gram):
-            tile = _gram_tile(gram, start, stop)
+        for start, stop, _ in triple_tiles(pts, None, blocks):
+            tile = _gram_tile(blocks, start, stop)
+            block, top = blocks[start // height], start % height
             assert tile.flags.c_contiguous
-            if start == 0:
-                assert tile.shape == (stop, n) and tile.ctypes.data == gram.ctypes.data
+            if top == 0:
+                assert tile.shape == (stop - start, n - start)
+                assert tile.ctypes.data == block.ctypes.data
             else:
-                assert not np.shares_memory(tile, gram[start:])
+                assert not np.shares_memory(tile, block[top:])
             starts.append(start)
         assert starts == sorted(starts, reverse=True) and starts[-1] == 0
 
@@ -771,6 +776,44 @@ class TestGramTiles:
             kernel_matrix(pts, KernelSpec(gaussian(1.0)))
         pair = re.search(r"pair \((\d+), (\d+)\)", str(info.value))
         assert {3, 290} & {int(pair[1]), int(pair[2])}
+
+
+class TestGramBlocks:
+    # gram_blocks holds the rows b*512 to b*512+h, columns b*512 to N of
+    # kernel_matrix's Gram, each block's square mirrored; unpacked by the
+    # dense fallback they are that Gram bit for bit.
+    @pytest.mark.parametrize("n", [511, 512, 513, 1100])
+    @pytest.mark.parametrize("inv", [None, SIGN, PROJ], ids=["plain", "sign", "proj"])
+    def test_unpacked_blocks_are_the_kernel_matrix(self, n, inv):
+        from invkern.spectral import _dense
+
+        pts = np.random.default_rng(n).standard_normal((n, 3))
+        spec = KernelSpec(gaussian(1.0), inv)
+        gram, blocks = kernel_matrix(pts, spec), gram_blocks(pts, spec)
+        starts = range(0, n, GRAM_BLOCK_ROWS)
+        shapes = [(min(s + GRAM_BLOCK_ROWS, n) - s, n - s) for s in starts]
+        assert [b.shape for b in blocks] == shapes
+        for start, block in zip(starts, blocks):
+            assert same_bits(block, gram[start : start + len(block), start:])
+        assert same_bits(_dense(blocks), gram)
+
+    def test_unpacked_complex_blocks_are_the_kernel_matrix(self):
+        from invkern.spectral import _dense
+
+        pts = complex_points(np.random.default_rng(39), 1100, 3)
+        spec = KernelSpec(laplace(1.5), PHASE)
+        assert same_bits(_dense(gram_blocks(pts, spec)), kernel_matrix(pts, spec))
+
+    def test_errors_name_the_pair_kernel_matrix_names(self):
+        pts = np.random.default_rng(40).standard_normal((700, 2))
+        pts[[3, 650], 0] = 1e200
+        messages = []
+        for build in (kernel_matrix, gram_blocks):
+            with pytest.raises(NumericalError) as info:
+                build(pts, KernelSpec(gaussian(1.0)))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
 
 
 ORBIT_CASES = [

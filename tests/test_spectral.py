@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from invkern import (
     gaussian,
     gen_directions,
     gen_flipped_blobs,
+    gram_blocks,
     keca_embed,
     kernel_matrix,
     kmeans,
@@ -47,8 +49,8 @@ from invkern.errors import (
     ValidationError,
     ZeroVectorError,
 )
-from invkern.invariance import TILE_ROWS
-from invkern.spectral import LANCZOS_MIN_N, _entropy_ranking
+from invkern.invariance import GRAM_BLOCK_ROWS, TILE_ROWS
+from invkern.spectral import LANCZOS_MIN_N, _entropy_ranking, _mass, _matvec
 from oracles import make_triple
 
 
@@ -463,6 +465,78 @@ class TestTruncatedEig:
             [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "False"
+
+
+def row_blocks(gram):
+    """A matrix-defined Gram cut into the row blocks of gram_blocks."""
+    return tuple(gram[b : b + GRAM_BLOCK_ROWS, b:] for b in range(0, len(gram), GRAM_BLOCK_ROWS))
+
+
+class TestGramBlocks:
+    # The spectral functions read row blocks through their order, matvec and
+    # mass; on more than one block those round apart from the dense ones.
+    @pytest.mark.parametrize("n", [300, 512, 513, 1100])
+    def test_matvec_and_mass_agree_with_the_dense_gram(self, n):
+        data, _ = gen_directions(6, n, seed=5)
+        spec = KernelSpec(gaussian(0.3), PROJ)
+        gram, blocks = build_gram(data, spec), gram_blocks(data.points, spec)
+        v = np.random.default_rng(n).standard_normal(n)
+        if len(blocks) == 1:
+            assert np.array_equal(_matvec(blocks, v), gram @ v)
+            assert _mass(blocks) == gram.sum()
+        np.testing.assert_allclose(_matvec(blocks, v), gram @ v, rtol=1e-13, atol=0)
+        assert _mass(blocks) == pytest.approx(gram.sum(), rel=1e-13)
+        total, _ = renyi_entropy(blocks, sym_eig(gram))
+        assert total == pytest.approx(gram.sum() / n**2, rel=1e-13)
+
+    def test_blocks_give_the_dense_labels_on_the_proj_gram(self):
+        n = LANCZOS_MIN_N + 100
+        data, _ = gen_directions(6, n, seed=3)
+        spec = KernelSpec(gaussian(0.1), PROJ)
+        blocks = gram_blocks(data.points, spec)
+        assert len(blocks) == 2
+        result = cluster_gram(blocks, 6, seed=0)
+        dense = cluster_gram(build_gram(data, spec), 6, seed=0)
+        assert len(result.entropy_contributions) == len(dense.entropy_contributions) < n
+        assert result.selected_axes == dense.selected_axes
+        assert np.array_equal(result.labels, dense.labels)
+        assert np.array_equal(result.labels, _dense_pipeline(build_gram(data, spec), 6)[2])
+
+    @pytest.mark.parametrize("case", ["repeated-top", "rank-5"])
+    def test_blocks_give_the_dense_labels_on_matrix_grams(self, case):
+        if case == "repeated-top":
+            gram, k = np.kron(np.eye(3), np.ones((600, 600))) + 1e-3 * np.eye(1800), 3
+        else:
+            # Lanczos breaks down after five steps, and its fresh vector at once.
+            factors = np.random.default_rng(48).random((1200, 5))
+            gram, k = factors @ factors.T, 3
+        result = cluster_gram(row_blocks(gram), k, seed=0)
+        assert len(result.entropy_contributions) < len(gram)
+        assert np.array_equal(result.labels, cluster_gram(gram, k, seed=0).labels)
+        assert np.array_equal(result.labels, _dense_pipeline(gram, k)[2])
+
+    def test_uncertified_blocks_fall_back_to_the_dense_solve(self):
+        points = gen_flipped_blobs(300, 256, seed=1).points
+        spec = KernelSpec(gaussian(22.0), SIGN)
+        eig = truncated_eig(gram_blocks(points, spec), 2)
+        dense = sym_eig(kernel_matrix(points, spec))
+        assert np.array_equal(eig.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(eig.eigenvectors, dense.eigenvectors)
+
+    def test_clustering_holds_no_dense_gram(self):
+        # The blocks are 0.63 x the dense Gram's bytes at N = 2000; the
+        # Lanczos basis and the tile temporaries add a few percent.  A dense
+        # Gram alone would be 1 x.
+        data, _ = gen_directions(6, 2000, seed=7)
+        spec = KernelSpec(gaussian(0.3), PROJ)
+        tracemalloc.start()
+        try:
+            result = cluster_gram(gram_blocks(data.points, spec), 6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.entropy_contributions) < 2000
+        assert peak < 0.75 * 2000 * 2000 * 8
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
