@@ -73,8 +73,11 @@ def build_gram(data, spec: KernelSpec) -> np.ndarray:
 
 
 def _as_gram(gram):
-    # A tuple of row blocks as it is, anything else as a float array.
-    return gram if isinstance(gram, tuple) else np.asarray(gram, dtype=float)
+    # A tuple of two or more row blocks as it is; a lone block is the whole Gram,
+    # and anything else becomes a float array.
+    if isinstance(gram, tuple):
+        return gram[0] if len(gram) == 1 else gram
+    return np.asarray(gram, dtype=float)
 
 
 def _order(gram) -> int:

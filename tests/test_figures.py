@@ -82,8 +82,9 @@ def _wide_negative():
 def test_heatmap_matches_per_cell_oracle_across_template_edges(monkeypatch, matrix, size, rows):
     # 3x700: the x text grows from 5 to 6 to 7 characters along a row.
     # 700x3: the y width changes at rows 15 and 146, inside 64-row chunks,
-    # so runs of one width end in partial chunks.  65 and 129 rows: one row
-    # past a 64-row chunk edge.  size 5000: 8-character coordinates.
+    # so runs of one width end in partial chunks.  65 and 129 rows: the run
+    # of the widest y text is 51 and 102 rows, below and past a 64-row
+    # chunk edge.  size 5000: 8-character coordinates.
     # wide-negative: values from -1e300 to -1e-300.
     chunk_rows(monkeypatch, matrix, rows, size=size)
     assert heatmap_text(matrix, size=size) == heatmap_oracle(matrix, size=size)
