@@ -7,8 +7,8 @@ The heatmap formats each x and y coordinate once, builds one byte
 template of a whole row per width of the y text, and streams the
 document into an open binary file in chunks of about 1 MiB of rows:
 numpy copies the template into a chunk buffer, writes each cell's y and
-six colour digits by fancy indexing, and the filled chunk goes straight
-to the file.  A row order (labels sorted) is gathered per chunk, never
+six colour digits through one strided view per run of equal-length
+cells (no index arrays), and the filled chunk goes straight to the file.  A row order (labels sorted) is gathered per chunk, never
 as a reordered copy of the matrix.  No whole document is ever held:
 beyond the matrix itself, peak memory is about two chunks, a few MiB,
 whatever the matrix size.  Its Python work is per column and per row
@@ -129,18 +129,18 @@ def heatmap_svg(matrix, file, size: int = 480, order=None) -> None:
     ys = [_fmt(i * cell_h) for i in range(n_rows)]
     # A cell is its column's head, the row's y, the tail, six hex digits
     # and the closer.  A row template holds every cell with '?' gaps for the
-    # y and the digits, so cell j's y gap starts after heads 0..j and j
-    # cells' worth of the other parts.
-    head_ends = np.cumsum([len(h) for h in heads])
-    fixed = len(tail) + 6 + len(_CLOSER)
+    # y and the digits.  Columns whose heads have one length form a run of
+    # cells of one length, so each run's gaps are strided views of a chunk.
+    runs, col = [], 0
+    for head, group in groupby(len(h) for h in heads):
+        n = len(list(group))
+        runs.append((col, n, head))
+        col += n
     first = 0
     for width, run in groupby(ys, key=len):
         y_text = "".join(run)
         count = len(y_text) // width
         template = _bytes("".join(f"{h}{'?' * width}{tail}??????{_CLOSER}" for h in heads))
-        y_at = head_ends + np.arange(n_cols) * (width + fixed)
-        y_cols = y_at[:, None] + np.arange(width)
-        hex_cols = (y_at + width + len(tail))[:, None] + np.arange(6)
         y_bytes = _bytes(y_text).reshape(count, 1, width)
         step = max(1, _CHUNK_BYTES // template.size)
         chunk = np.empty((min(count, step), template.size), dtype=np.uint8)
@@ -148,15 +148,33 @@ def heatmap_svg(matrix, file, size: int = 480, order=None) -> None:
             hi = min(lo + step, count)
             block = chunk[:hi - lo]
             block[:] = template
-            block[:, y_cols] = y_bytes[lo:hi]
             if order is None:
                 rows = values[first + lo:first + hi]
             else:
                 rows = values[np.ix_(order[first + lo:first + hi], order)]
-            block[:, hex_cols] = _hex_colours(rows * 0.5 if halve else rows, vmin, span)
+            digits = _hex_colours(rows * 0.5 if halve else rows, vmin, span)
+            _fill_gaps(block, runs, len(tail), y_bytes[lo:hi], digits)
+            del rows, digits  # before the next chunk's colours are made
             file.write(block)
         first += count
     file.write(_CLOSING)
+
+
+def _fill_gaps(block, runs, tail: int, y, digits) -> None:
+    """Write each row's y bytes ``y`` (rows, 1, width) and the colour digits
+    (rows, N, 6) into the gaps of a chunk of row templates.
+
+    ``runs`` lists (first column, columns, head length) of the runs of
+    columns with equal heads.  A run's bytes in a row reshape, as a view,
+    to (columns, cell length), where every gap is at one offset.
+    """
+    width, at = y.shape[-1], 0
+    for col, n, head in runs:
+        size = head + width + tail + 6 + len(_CLOSER)
+        cells = block[:, at:at + n * size].reshape(len(block), n, size)
+        cells[:, :, head:head + width] = y
+        cells[:, :, head + width + tail:head + width + tail + 6] = digits[:, col:col + n]
+        at += n * size
 
 
 def _hex_colours(rows: np.ndarray, vmin: float, span: float) -> np.ndarray:

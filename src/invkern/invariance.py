@@ -11,6 +11,7 @@ without ever materializing the quotient features.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -38,6 +39,10 @@ _MAX_CHAIN_DEPTH = 4
 # Rows of the triple field rewritten at once.  Bounds the temporaries of
 # the rewrite and of the base kernel to TILE_ROWS x N values.
 TILE_ROWS = 128
+
+# Values of a scale or proj denominator formed at once: 16 rows of a
+# 2048-point tile, so the product sxx * syy stays in cache.
+_NORM_PRODUCT_VALUES = 16 * 2048
 
 # Rows of each block of gram_blocks.  A multiple of every tile step, so no
 # tile straddles two blocks.  512 rows kept a 3000-point Gram's matvec at the
@@ -203,7 +208,10 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy, out=None):
     (``None``) leaves the triple as it is.  Scale and proj divide by
     sxx * syy, which :func:`_triple_field` keeps nonzero, and return the
     scalar diagonals 1.0, which broadcast against ``sxy``.  Both rewrite a
-    pair of finite norms whose product overflows to NaN, not to 0.0.
+    pair of finite norms whose product overflows to NaN, not to 0.0.  They
+    form that product a few rows at a time (about 32k values), never in
+    the shape of the result, and divide each row chunk by its own: every
+    value keeps the bits of one division by the whole product.
 
     ``out``, if given, receives the rewritten ``sxy`` and may be ``sxy``
     itself, so a Gram tile is rewritten in its own buffer; a real result
@@ -225,17 +233,46 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy, out=None):
         return _power(sxx, spec.m), _power(sxy, spec.m, out), _power(syy, spec.m)
     if spec.kind == "phase":
         return sxx**2, _squared_modulus(sxy, out), syy**2
-    denom = np.asarray(np.asarray(sxx, dtype=float) * np.asarray(syy, dtype=float))
+    sxx, syy = np.asarray(sxx, dtype=float), np.asarray(syy, dtype=float)
+    shape = np.broadcast_shapes(sxx.shape, np.shape(sxy), syy.shape)
+    if spec.kind == "scale":
+        result = np.empty(shape, np.result_type(sxy, float)) if out is None else out
+    else:
+        result = _squared_modulus(sxy, out)  # out, or a new array of the rewrite's own
+        if not isinstance(result, np.ndarray) or result.shape != shape:
+            result = np.array(np.broadcast_to(result, shape))  # a scalar or broadcast sxy
     # A pair of finite norms whose product overflows has no rewrite: NaN, not
     # sxy / inf = 0.0.  (A norm that overflows itself fails at its diagonal.)
     # No product exceeds that of the largest norms, so testing it is O(N).
-    if not np.isfinite(np.max(sxx) * np.max(syy)):
-        denom[np.isinf(denom) & np.isfinite(sxx) & np.isfinite(syy)] = np.nan
-    if spec.kind == "scale":
-        return 1.0, np.divide(sxy, np.sqrt(denom, out=denom), out=out), 1.0
-    square = _squared_modulus(sxy, out)
-    square /= denom  # in place: square is out, or a new array of the rewrite's own
-    return 1.0, square, 1.0
+    overflow = not np.isfinite(np.max(sxx) * np.max(syy))
+    # The denominator of a few rows at a time, never of the tile's shape; each
+    # value is still the product sxx * syy that divides it.
+    for rows in _row_chunks(shape):
+        a, b = _rows_of(sxx, rows, shape), _rows_of(syy, rows, shape)
+        denom = np.asarray(a * b)
+        if overflow:
+            denom[np.isinf(denom) & np.isfinite(a) & np.isfinite(b)] = np.nan
+        if spec.kind == "scale":
+            part = _rows_of(np.asarray(sxy), rows, shape)
+            np.divide(part, np.sqrt(denom, out=denom), out=result[rows])
+        else:
+            result[rows] /= denom
+    return 1.0, result if result.ndim else result[()], 1.0
+
+
+def _row_chunks(shape) -> list:
+    # Index expressions of the first axis of `shape`, about _NORM_PRODUCT_VALUES
+    # values each; a 0-d shape is one chunk.
+    if not shape:
+        return [...]
+    rows = max(1, _NORM_PRODUCT_VALUES // max(1, math.prod(shape[1:])))
+    return [slice(r, r + rows) for r in range(0, shape[0], rows)]
+
+
+def _rows_of(value, rows, shape):
+    # The part of an array in the chunk `rows` of the broadcast `shape`: all of it
+    # when it broadcasts along that shape's first axis.
+    return value[rows] if value.ndim == len(shape) > 0 and len(value) > 1 else value
 
 
 def _power(value, m: int, out=None):
@@ -297,11 +334,12 @@ def _pair_name(rows, cols, shape, index) -> str:
     return "({}, {})".format(*(int(np.broadcast_to(a, shape).flat[index]) for a in (rows, cols)))
 
 
-def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols, out=None):
+def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols, out=None, proven=False):
     # transform_triples; errors name pairs by the ids in rows and cols (broadcast).
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A triple proven finite by _norm_proof skips the finiteness pass.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         triple = transform_triples(spec, sxx, sxy, syy, out)
-    if not all(np.isfinite(t).all() for t in triple):
+    if not proven and not all(np.isfinite(t).all() for t in triple):
         finite = np.isfinite(triple[0]) & np.isfinite(triple[1]) & np.isfinite(triple[2])
         pair = _pair_name(rows, cols, finite.shape, np.argmin(finite))
         raise NumericalError(
@@ -309,6 +347,36 @@ def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols, out=None):
             "the points overflow the invariance's rewrite or are not finite"
         )
     return triple
+
+
+# Factors that widen the extreme triples of _norm_proof, (largest, smallest),
+# before each rewrite stage and before the base kernel.  Rounding lets a
+# computed |<x,y>| pass sqrt(<x,x><y,y>) by a few ulps per stage, never by a
+# factor 2, and the widening survives a stage that divides by the norms.
+_WIDEN = np.array([2.0, 0.5])
+
+
+@functools.lru_cache(maxsize=64)
+def _norm_proof(spec: Invariance | None, base: BaseKernel | None, largest, smallest) -> bool:
+    # Whether every entry of a tile whose rows and later columns have norms from
+    # `smallest` to `largest` has a finite rewritten triple and, with base, a finite
+    # base value.  By Cauchy-Schwarz an entry's |<x,y>| is at most the largest norm
+    # and its norms' product at least the smallest norm squared, so the extreme
+    # triples (n, n, n), n the largest or the smallest norm, go through _rewrite one
+    # stage at a time and then through _checked_values, widened before each: if
+    # they pass, every entry does.  A NaN or infinite norm, a product that
+    # overflows and a denominator that underflows to 0.0 all fail.  Memoized: the
+    # extremes of the norms below a tile change in few tiles of a Gram.
+    triple = (np.array([largest, smallest]),) * 3
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for stage in _stages(spec) or (None,):
+                triple = _rewrite(stage, *(t * _WIDEN for t in triple), 0, 0)
+            if base is not None:
+                _checked_values(base, [t * _WIDEN for t in triple], 0, 0)
+    except (NumericalError, NegativeDistanceError):
+        return False
+    return True
 
 
 def triple_tiles(points, spec: Invariance | None, blocks=None):
@@ -322,7 +390,12 @@ def triple_tiles(points, spec: Invariance | None, blocks=None):
     start:N, rewritten by :func:`transform_triples`, from the last tile up
     to the first, which read the later columns' norms off the tiles below;
     the components broadcast to one shape, and ``sxy`` (or its real part)
-    is the tile's own buffer, which the caller may overwrite.
+    is the tile's own buffer, which the caller may overwrite.  No other
+    array of the tile's shape is built: a scale or proj denominator is
+    formed a few rows at a time, and the tile's finiteness is proven from
+    the largest and smallest of its norms, with a pass over the tile only
+    when that proof fails (a norm that is not finite, or extreme norms whose
+    rewrite overflows or underflows).
 
     With ``blocks``, the row blocks of a float Gram being filled bottom up
     (block b holds rows b*h to b*h+h and columns b*h to N, h the first
@@ -333,6 +406,13 @@ def triple_tiles(points, spec: Invariance | None, blocks=None):
     complex one, goes to one reused buffer of a real tile's bytes instead,
     so its tiles have fewer rows.
     """
+    for start, stop, triple, _ in _proven_tiles(points, spec, blocks):
+        yield start, stop, triple
+
+
+def _proven_tiles(points, spec: Invariance | None, blocks, base=None):
+    # triple_tiles, each tile with whether _norm_proof proves it finite, with base
+    # its base values too.
     n = len(points)
     ids = np.arange(n)
     points, adjoint = _triple_field(points, spec, ids)
@@ -346,7 +426,7 @@ def triple_tiles(points, spec: Invariance | None, blocks=None):
         out = None if blocks is None else _gram_tile(blocks, start, stop)
         if buffer is not None:
             out = buffer[: out.size].reshape(out.shape)
-        yield start, stop, _tile_triple(spec, points, adjoint, ids, norms, start, stop, out)
+        yield start, stop, *_tile_triple(spec, points, adjoint, ids, norms, start, stop, out, base)
 
 
 def _gram_tile(blocks, start, stop):
@@ -361,18 +441,26 @@ def _gram_tile(blocks, start, stop):
     return block.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
 
 
-def _tile_triple(spec: Invariance | None, points, adjoint, ids, norms, start, stop, out=None):
+def _tile_triple(
+    spec: Invariance | None, points, adjoint, ids, norms, start, stop, out=None, base=None,
+    prove=True,
+):
     # Rows start:stop, columns start:N of the rewritten triple field of a point array
-    # or a stack of point sets; with out, the product and its rewrite both go to out.
-    # The rows' norms, the product's real diagonal, go back to it and to norms.
-    # Kept out of triple_tiles so that no raw tile outlives its rewrite.
+    # or a stack of point sets, and whether _norm_proof proves it (with base, its
+    # base values too; never without prove); with out, the product and its rewrite
+    # both go to out.  The rows' norms, the product's real diagonal, go back to it
+    # and to norms.  Kept out of triple_tiles so that no raw tile outlives its
+    # rewrite.
     with np.errstate(over="ignore", invalid="ignore"):
         sxy = np.matmul(points[..., start:stop, :], adjoint[..., start:], out=out)
     diagonal = np.arange(stop - start)
     norms[..., start:stop] = np.real(sxy[..., diagonal, diagonal])
     sxy[..., diagonal, diagonal] = norms[..., start:stop]
     sxx, syy = norms[..., start:stop, None], norms[..., None, start:]
-    return _rewrite(spec, sxx, sxy, syy, ids[..., start:stop, None], ids[..., None, start:], out)
+    later = norms[..., start:]
+    proven = prove and _norm_proof(spec, base, np.max(later), np.min(later))
+    rows, cols = ids[..., start:stop, None], ids[..., None, start:]
+    return _rewrite(spec, sxx, sxy, syy, rows, cols, out, proven), proven
 
 
 def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
@@ -386,7 +474,9 @@ def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
     # The whole 2x2 field, one tile of each two-point set, is rewritten, not entry
     # (0, 1) alone: a norm that overflows can rewrite to a finite <x,y> (scale:
     # 1e160 / inf = 0.0), and only the diagonal entries then show it.
-    triple = _tile_triple(spec, points, adjoint, ids, np.empty(ids.shape, points.real.dtype), 0, 2)
+    # Its 2x2 fields are checked as they are: a proof costs more than it saves there.
+    norms = np.empty(ids.shape, points.real.dtype)
+    triple, _ = _tile_triple(spec, points, adjoint, ids, norms, 0, 2, prove=False)
     return tuple(t[:, 0, 1] for t in np.broadcast_arrays(*triple))
 
 
@@ -404,9 +494,10 @@ def invariant_inner(spec: Invariance, x, y):
     return kernel_triple(KernelSpec(BaseKernel("linear"), spec), x, y).sxy
 
 
-def _checked_values(base: BaseKernel, triple, rows, cols, out=None) -> np.ndarray:
+def _checked_values(base: BaseKernel, triple, rows, cols, out=None, proven=False) -> np.ndarray:
     # Base-kernel values, into out if given; errors name pairs by the ids in rows
-    # and cols (broadcast).
+    # and cols (broadcast).  Values proven finite by _norm_proof skip the
+    # finiteness pass.
     try:
         # Overflow and division by zero are reported as a NumericalError below, not warned.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -416,6 +507,8 @@ def _checked_values(base: BaseKernel, triple, rows, cols, out=None) -> np.ndarra
         raise NegativeDistanceError(
             f"kernel evaluation failed for pair {pair}: {err}", index=err.index
         ) from err
+    if proven:
+        return values
     finite = np.isfinite(values)
     if not np.all(finite):
         pair = _pair_name(rows, cols, finite.shape, np.argmin(finite))
@@ -433,9 +526,9 @@ def _gram_blocks(points, spec: KernelSpec, height: int) -> tuple:
     # rows and mirrored into the finished rows of its block below it.
     n = len(points)
     blocks = tuple(np.empty((min(b + height, n) - b, n - b)) for b in range(0, max(n, 1), height))
-    for start, stop, triple in triple_tiles(points, spec.invariance, blocks):
+    for start, stop, triple, proven in _proven_tiles(points, spec.invariance, blocks, spec.base):
         tile = _gram_tile(blocks, start, stop)
-        _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n], out=tile)
+        _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n], out=tile, proven=proven)
         square = tile[:, : stop - start]
         np.copyto(square, square.T, where=np.tri(stop - start, k=-1, dtype=bool))
         block, top = blocks[start // height], start % height

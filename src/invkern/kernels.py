@@ -101,7 +101,11 @@ def squared_distance(sxx, sxy, syy, out=None):
 
     Values below -1e-9 * max(sxx, syy, 1) raise NegativeDistanceError:
     no inner product can produce them.  Smaller negative values are
-    floating-point noise near x == y and are clamped to zero.  ``out``,
+    floating-point noise near x == y and are clamped to zero.  The test is
+    one reduction: the minimum is compared with the tolerance when that is
+    one number (the 1.0 diagonals of scale and proj), else with -1e-9, the
+    largest any tolerance can be, and a mask of the values is built only
+    when the minimum is below that or NaN, to name the pair.  ``out``,
     if given, receives the distances and may hold ``sxy`` or its real
     part; the inputs are only read otherwise, and scalar inputs give a
     NumPy float.
@@ -117,16 +121,24 @@ def squared_distance(sxx, sxy, syy, out=None):
     # makes the minimum NaN and takes the branch too, so a negative value
     # beside it is still reported; the clamp keeps the NaN for the callers'
     # finiteness checks.
-    if d2.size and not d2.min() >= 0.0:
-        bad = d2 < -1e-9 * np.maximum(np.maximum(sxx, syy), 1.0)
-        if np.any(bad):
-            index = int(np.argmax(bad))
-            value = float(np.ravel(d2)[index])
-            raise NegativeDistanceError(
-                f"squared distance {value} is negative beyond tolerance; "
-                "the triple does not come from an inner product",
-                index=index,
-            )
+    lowest = d2.min() if d2.size else 0.0
+    if not lowest >= 0.0:
+        # No tolerance is above -1e-9, and a NaN one flags nothing, so a minimum
+        # at or above the tolerance (when it is one number) or -1e-9 needs no
+        # mask: one is built only to name a pair.
+        limit = -1e-9
+        if sxx.size == syy.size == 1:
+            limit = -1e-9 * np.maximum(np.maximum(sxx, syy), 1.0)
+        if not lowest >= limit:
+            bad = d2 < -1e-9 * np.maximum(np.maximum(sxx, syy), 1.0)
+            if np.any(bad):
+                index = int(np.argmax(bad))
+                value = float(np.ravel(d2)[index])
+                raise NegativeDistanceError(
+                    f"squared distance {value} is negative beyond tolerance; "
+                    "the triple does not come from an inner product",
+                    index=index,
+                )
         np.maximum(d2, 0.0, out=d2)
     return d2 if out is not None or d2.ndim else d2[()]
 

@@ -378,11 +378,14 @@ def _pairwise_distance(points, centers):
 
 
 def _seed_centers(points, k, rng):
-    # k-means++: weight by squared distance to the nearest center.
+    # k-means++: weight by squared distance to the nearest center.  Each point's
+    # nearest distance is kept and lowered by the newest center alone.
     n = len(points)
     chosen = [int(rng.integers(n))]
+    nearest = np.full(n, np.inf)
     for _ in range(1, k):
-        weights = _pairwise_distance(points, points[chosen]).min(axis=1) ** 2
+        np.minimum(nearest, _pairwise_distance(points, points[chosen[-1:]])[:, 0], out=nearest)
+        weights = nearest**2
         total = weights.sum()
         if total <= 0.0:
             chosen.append(int(rng.integers(n)))

@@ -19,6 +19,7 @@ from invkern import ScalarTriple
 from invkern.errors import DimensionError, ZeroVectorError
 from invkern.invariance import triple_tiles
 from invkern.kernels import base_values, squared_distance
+from invkern.spectral import _pairwise_distance
 
 
 def inner_product(x, y):
@@ -61,6 +62,25 @@ def median_distance(points, invariance=None) -> float:
         d2 = squared_distance(*triple)
         distances.append(np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]))
     return max(float(np.median(np.concatenate(distances))), 1e-12)
+
+
+def seed_centers(points, k, rng):
+    """k-means++ seeding that recomputes the distances to every chosen centre.
+
+    The reference for the package's seeding, which keeps each point's
+    nearest distance and lowers it by the newest centre alone: both draw
+    the same random numbers and must choose the same centres.
+    """
+    n = len(points)
+    chosen = [int(rng.integers(n))]
+    for _ in range(1, k):
+        weights = _pairwise_distance(points, points[chosen]).min(axis=1) ** 2
+        total = weights.sum()
+        if total <= 0.0:
+            chosen.append(int(rng.integers(n)))
+        else:
+            chosen.append(int(rng.choice(n, p=weights / total)))
+    return points[chosen].copy()
 
 
 def write_gram_csv_rows(values, path) -> None:

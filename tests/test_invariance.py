@@ -4,6 +4,7 @@ import itertools
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,10 +41,11 @@ from invkern import (
     transform_triples,
 )
 from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_select
+from invkern import invariance
 from invkern.errors import (
-    FieldError, NumericalError, ParseError, ValidationError, ZeroVectorError,
+    FieldError, InvkernError, NumericalError, ParseError, ValidationError, ZeroVectorError,
 )
-from invkern.invariance import GRAM_BLOCK_ROWS, _gram_tile, triple_tiles
+from invkern.invariance import GRAM_BLOCK_ROWS, _gram_tile, _norm_proof, triple_tiles
 from invkern.kernels import base_values, squared_distance
 from oracles import OracleSizeError, frobenius_inner, median_distance, quotient_map_oracle
 
@@ -671,6 +673,9 @@ OUT_CASES = [
     if field == "complex" or inv != rotation(3)
 ]
 OUT_FAMILIES = [linear(), gaussian(1.3), laplace(0.7), poly(3), polyhom(2)]
+NORM_PROOF_INVARIANCES = [
+    None, SIGN, PHASE, SCALE, PROJ, rotation(3), chain(SCALE, SIGN), chain(SIGN, PROJ),
+]
 
 
 def same_bits(a, b) -> bool:
@@ -815,6 +820,123 @@ class TestGramBlocks:
         assert messages[0] == messages[1]
 
 
+
+class TestNormProof:
+    # A tile whose extreme norms rewrite to finite triples, and whose widened
+    # rewritten extremes have finite base values, skips both finiteness passes.
+    @pytest.mark.parametrize("inv", NORM_PROOF_INVARIANCES, ids=str)
+    def test_ordinary_norms_prove_and_bad_ones_do_not(self, inv):
+        for base in (None, gaussian(1.0), poly(7)):
+            assert _norm_proof(inv, base, 3.0, 0.5)
+            for bad in (np.nan, np.inf):
+                assert not _norm_proof(inv, base, bad, 1.0)
+        assert not _norm_proof(inv, polyhom(2000), 3.0, 0.5)
+
+    @pytest.mark.parametrize("inv", [SCALE, PROJ, chain(SIGN, PROJ)], ids=format_invariance)
+    def test_denominators_out_of_range_do_not_prove(self, inv):
+        # The smallest norm squared underflows to 0.0, the largest overflows.
+        assert not _norm_proof(inv, None, 1.0, 1e-170)
+        assert not _norm_proof(inv, None, 1e160, 1.0)
+
+    def test_widening_covers_rounding_past_cauchy_schwarz(self):
+        # The proj value of x and 3x rounds above 1.0, and a degree of 2**62
+        # takes it to inf while 1.0 stays 1.0: only the widened bound, 2.0,
+        # overflows too, so the pass that names the pair still runs.
+        x = np.array([0.1, 0.1, 0.1])
+        with pytest.raises(NumericalError, match=r"pair \(0, 1\)"):
+            kernel_matrix(np.array([x, 3.0 * x]), KernelSpec(polyhom(2**62), PROJ))
+
+    def test_tiles_of_ordinary_points_are_proven(self):
+        pts = np.random.default_rng(41).standard_normal((300, 3))
+        spec = KernelSpec(gaussian(1.0), PROJ)
+        with mock.patch.object(invariance, "_norm_proof", wraps=_norm_proof) as proof:
+            kernel_matrix(pts, spec)
+        assert proof.call_count == 3
+        assert all(call.args[:2] == (PROJ, spec.base) for call in proof.call_args_list)
+        assert all(_norm_proof(*call.args) for call in proof.call_args_list)
+
+    def test_proj_tiles_build_no_tile_sized_temporary(self):
+        # The proj denominator is formed a few rows at a time and the finiteness
+        # passes are proven away: the parent's 128 x 2000 denominator alone
+        # was 2 MB.
+        pts = np.random.default_rng(42).standard_normal((2000, 2))
+        tracemalloc.start()
+        try:
+            blocks = gram_blocks(pts, KernelSpec(gaussian(0.1), PROJ))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(b.nbytes for b in blocks) <= 1e6
+
+    @pytest.mark.parametrize("inv", [SCALE, PROJ])
+    def test_denominators_in_row_chunks_keep_bits(self, inv):
+        # 70 rows of 1500 values span four denominator chunks; the last pair's
+        # finite norms overflow their product and rewrite to NaN.
+        rng = np.random.default_rng(43)
+        sxx, syy = rng.random((70, 1)) + 0.5, rng.random((1, 1500)) + 0.5
+        sxx[-1], syy[0, -1] = 1e200, 1e200
+        sxy = rng.standard_normal((70, 1500))
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = sxx * syy
+            denom[np.isinf(denom)] = np.nan
+            expected = sxy / np.sqrt(denom) if inv == SCALE else sxy * sxy / denom
+            got = transform_triples(inv, sxx, sxy, syy)
+        assert got[0] == got[2] == 1.0
+        assert same_bits(got[1], expected) and np.isnan(got[1][-1, -1])
+
+
+NORM_PROOF_BASES = [linear(), gaussian(1.0), laplace(1.0), poly(2), poly(7), polyhom(3)]
+
+
+@st.composite
+def extreme_points(draw):
+    # Rows of norms from 1e-170 to 1e170, with the squared norms' overflow and
+    # underflow edges likely, and rows holding a NaN, an infinity or zeros.
+    n, d = draw(st.integers(1, 20)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        points = points + 1j * rng.standard_normal((n, d))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    edges = st.sampled_from([-170.0, -162.0, -155.0, -77.0, 0.0, 77.0, 150.0, 154.0, 170.0])
+    exponents = draw(st.lists(st.one_of(edges, st.floats(-170, 170)), min_size=n, max_size=n))
+    points *= 10.0 ** np.array(exponents)[:, None]
+    # A NaN or infinite row fails every tile above it, so half the sets have none.
+    kinds = st.sampled_from(["finite"] * 6 + ["nan", "inf", "-inf", "zero"])
+    if draw(st.booleans()):
+        kinds = st.sampled_from(["finite"] * 9 + ["zero"])
+    for row, kind in enumerate(draw(st.lists(kinds, min_size=n, max_size=n))):
+        if kind == "zero":
+            points[row] = 0.0
+        elif kind != "finite":
+            points[row, 0] = float(kind)
+    return points
+
+
+def gram_outcome(build, points, spec):
+    """The Gram's dtypes, shapes and bytes, or the error's type and message."""
+    try:
+        gram = build(points, spec)
+    except InvkernError as err:
+        return type(err), str(err)
+    return [(b.dtype, b.shape, b.tobytes()) for b in (gram if isinstance(gram, tuple) else (gram,))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(points=extreme_points())
+def test_norm_proof_keeps_every_bit_and_error(points):
+    # Proven tiles give the values, or the error type, message and pair, that
+    # the finiteness passes give with the proof made to fail.  Tiles of 4 rows
+    # in blocks of 8 give each tile its own extreme norms.
+    with mock.patch.object(invariance, "TILE_ROWS", 4), mock.patch.object(
+        invariance, "GRAM_BLOCK_ROWS", 8
+    ):
+        for inv, base in itertools.product(NORM_PROOF_INVARIANCES, NORM_PROOF_BASES):
+            spec = KernelSpec(base, inv)
+            for build in (kernel_matrix, gram_blocks):
+                proven = gram_outcome(build, points, spec)
+                with mock.patch.object(invariance, "_norm_proof", return_value=False):
+                    assert proven == gram_outcome(build, points, spec), kernel_label(spec)
 
 ORBIT_CASES = [
     (base, inv, field)

@@ -260,6 +260,17 @@ class TestValidation:
             squared_distance(np.array([1.0, 1.0]), np.array([0.0, 5.0]), np.array([1.0, 1.0]))
         assert err.value.index == 1
 
+    @pytest.mark.parametrize("norm", [1.0, np.ones((2, 1))], ids=["scalar", "array"])
+    def test_squared_distance_tolerance_by_minimum(self, norm):
+        # One tolerance (scale and proj diagonals) or one per entry: the minimum
+        # decides, and a NaN beside a negative distance still names it.
+        noise = np.array([[1.0, 1.0 + 1e-12], [0.5, 1.0]])
+        assert np.array_equal(squared_distance(norm, noise, 1.0), [[0.0, 0.0], [1.0, 0.0]])
+        for sxy, index in (([[1.0, 0.5], [1.0 + 1e-8, 0.0]], 2), ([[np.nan, 1.0 + 1e-8]], 1)):
+            with pytest.raises(NegativeDistanceError) as err:
+                squared_distance(norm, np.array(sxy), 1.0)
+            assert err.value.index == index
+
 
 # Parameter values a caller might pass for m, sigma or degree: small and
 # huge ints, every float (nan, inf, subnormals), bools, strings and numpy

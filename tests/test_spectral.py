@@ -50,8 +50,8 @@ from invkern.errors import (
     ZeroVectorError,
 )
 from invkern.invariance import GRAM_BLOCK_ROWS, TILE_ROWS
-from invkern.spectral import LANCZOS_MIN_N, _entropy_ranking, _mass, _matvec
-from oracles import make_triple
+from invkern.spectral import LANCZOS_MIN_N, _entropy_ranking, _mass, _matvec, _seed_centers
+from oracles import make_triple, seed_centers
 
 
 def complex_points(rng, n_points, dim, scale=1.0):
@@ -675,6 +675,22 @@ class TestKmeans:
     def test_validation(self):
         with pytest.raises(ValueError):
             kmeans(np.ones((3, 2)), 4)
+
+    @pytest.mark.parametrize("k", [2, 6, 12])
+    def test_seeding_chooses_the_reference_centres(self, k):
+        # The running nearest distance picks the centres that recomputing every
+        # chosen centre's distances picks, with the same random numbers: on random
+        # embeddings with duplicate rows, and on exact axis rows, where every
+        # weight reaches 0 once both axes are chosen and a uniform draw follows.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n, dim = int(rng.integers(k, 300)), int(rng.integers(1, 13))
+            pts = rng.standard_normal((n, dim))
+            pts[rng.integers(n, size=n // 3)] = pts[int(rng.integers(n))]
+            axes = np.eye(2)[rng.integers(2, size=n)]
+            for rows in (pts, axes):
+                got = _seed_centers(rows, k, np.random.default_rng(seed))
+                assert np.array_equal(got, seed_centers(rows, k, np.random.default_rng(seed)))
 
 
 class TestSpectralCluster:
