@@ -8,8 +8,9 @@ template of a whole row per width of the y text, and streams the
 document into an open binary file in chunks of about 1 MiB of rows:
 numpy copies the template into a chunk buffer, writes each cell's y and
 six colour digits through one strided view per run of equal-length
-cells (no index arrays), and the filled chunk goes straight to the file.  A row order (labels sorted) is gathered per chunk, never
-as a reordered copy of the matrix.  No whole document is ever held:
+cells (no index arrays), and the filled chunk goes straight to the
+file.  A row order (labels sorted) is gathered per chunk, never as a
+reordered copy of the matrix.  No whole document is ever held:
 beyond the matrix itself, peak memory is about two chunks, a few MiB,
 whatever the matrix size.  Its Python work is per column and per row
 chunk, never per cell.
@@ -154,17 +155,17 @@ def heatmap_svg(matrix, file, size: int = 480, order=None) -> None:
                 rows = values[np.ix_(order[first + lo:first + hi], order)]
             digits = _hex_colours(rows * 0.5 if halve else rows, vmin, span)
             _fill_gaps(block, runs, len(tail), y_bytes[lo:hi], digits)
-            del rows, digits  # before the next chunk's colours are made
+            del rows, digits  # freed before the next chunk's colours are made
             file.write(block)
         first += count
     file.write(_CLOSING)
 
 
 def _fill_gaps(block, runs, tail: int, y, digits) -> None:
-    """Write each row's y bytes ``y`` (rows, 1, width) and the colour digits
-    (rows, N, 6) into the gaps of a chunk of row templates.
+    """Write y bytes and colour digits into the gaps of a chunk of row templates.
 
-    ``runs`` lists (first column, columns, head length) of the runs of
+    ``y`` holds each row's y text, shape (rows, 1, width), and ``digits``
+    each cell's six hex digits, shape (rows, N, 6).  ``runs`` lists (first column, columns, head length) of the runs of
     columns with equal heads.  A run's bytes in a row reshape, as a view,
     to (columns, cell length), where every gap is at one offset.
     """

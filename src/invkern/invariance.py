@@ -247,13 +247,13 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy, out=None):
     overflow = not np.isfinite(np.max(sxx) * np.max(syy))
     # The denominator of a few rows at a time, never of the tile's shape; each
     # value is still the product sxx * syy that divides it.
+    parts = [np.broadcast_to(v, shape) for v in (sxx, syy, sxy)]
     for rows in _row_chunks(shape):
-        a, b = _rows_of(sxx, rows, shape), _rows_of(syy, rows, shape)
+        a, b, part = (v[rows] for v in parts)
         denom = np.asarray(a * b)
         if overflow:
             denom[np.isinf(denom) & np.isfinite(a) & np.isfinite(b)] = np.nan
         if spec.kind == "scale":
-            part = _rows_of(np.asarray(sxy), rows, shape)
             np.divide(part, np.sqrt(denom, out=denom), out=result[rows])
         else:
             result[rows] /= denom
@@ -267,12 +267,6 @@ def _row_chunks(shape) -> list:
         return [...]
     rows = max(1, _NORM_PRODUCT_VALUES // max(1, math.prod(shape[1:])))
     return [slice(r, r + rows) for r in range(0, shape[0], rows)]
-
-
-def _rows_of(value, rows, shape):
-    # The part of an array in the chunk `rows` of the broadcast `shape`: all of it
-    # when it broadcasts along that shape's first axis.
-    return value[rows] if value.ndim == len(shape) > 0 and len(value) > 1 else value
 
 
 def _power(value, m: int, out=None):
