@@ -40,8 +40,8 @@ from invkern import (
     sample_group_element,
     transform_triples,
 )
-from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_select
 from invkern import invariance
+from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_select
 from invkern.errors import (
     FieldError, InvkernError, NumericalError, ParseError, ValidationError, ZeroVectorError,
 )
@@ -937,6 +937,7 @@ def test_norm_proof_keeps_every_bit_and_error(points):
                 proven = gram_outcome(build, points, spec)
                 with mock.patch.object(invariance, "_norm_proof", return_value=False):
                     assert proven == gram_outcome(build, points, spec), kernel_label(spec)
+
 
 ORBIT_CASES = [
     (base, inv, field)
