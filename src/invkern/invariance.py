@@ -11,7 +11,6 @@ without ever materializing the quotient features.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -328,12 +327,11 @@ def _pair_name(rows, cols, shape, index) -> str:
     return "({}, {})".format(*(int(np.broadcast_to(a, shape).flat[index]) for a in (rows, cols)))
 
 
-def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols, out=None, proven=False):
+def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols, out=None):
     # transform_triples; errors name pairs by the ids in rows and cols (broadcast).
-    # A triple proven finite by _norm_proof skips the finiteness pass.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         triple = transform_triples(spec, sxx, sxy, syy, out)
-    if not proven and not all(np.isfinite(t).all() for t in triple):
+    if not all(np.isfinite(t).all() for t in triple):
         finite = np.isfinite(triple[0]) & np.isfinite(triple[1]) & np.isfinite(triple[2])
         pair = _pair_name(rows, cols, finite.shape, np.argmin(finite))
         raise NumericalError(
@@ -341,36 +339,6 @@ def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols, out=None, prove
             "the points overflow the invariance's rewrite or are not finite"
         )
     return triple
-
-
-# Factors that widen the extreme triples of _norm_proof, (largest, smallest),
-# before each rewrite stage and before the base kernel.  Rounding lets a
-# computed |<x,y>| pass sqrt(<x,x><y,y>) by a few ulps per stage, never by a
-# factor 2, and the widening survives a stage that divides by the norms.
-_WIDEN = np.array([2.0, 0.5])
-
-
-@functools.lru_cache(maxsize=64)
-def _norm_proof(spec: Invariance | None, base: BaseKernel | None, largest, smallest) -> bool:
-    # Whether every entry of a tile whose rows and later columns have norms from
-    # `smallest` to `largest` has a finite rewritten triple and, with base, a finite
-    # base value.  By Cauchy-Schwarz an entry's |<x,y>| is at most the largest norm
-    # and its norms' product at least the smallest norm squared, so the extreme
-    # triples (n, n, n), n the largest or the smallest norm, go through _rewrite one
-    # stage at a time and then through _checked_values, widened before each: if
-    # they pass, every entry does.  A NaN or infinite norm, a product that
-    # overflows and a denominator that underflows to 0.0 all fail.  Memoized: the
-    # extremes of the norms below a tile change in few tiles of a Gram.
-    triple = (np.array([largest, smallest]),) * 3
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for stage in _stages(spec) or (None,):
-                triple = _rewrite(stage, *(t * _WIDEN for t in triple), 0, 0)
-            if base is not None:
-                _checked_values(base, [t * _WIDEN for t in triple], 0, 0)
-    except (NumericalError, NegativeDistanceError):
-        return False
-    return True
 
 
 def triple_tiles(points, spec: Invariance | None, blocks=None):
@@ -384,12 +352,9 @@ def triple_tiles(points, spec: Invariance | None, blocks=None):
     start:N, rewritten by :func:`transform_triples`, from the last tile up
     to the first, which read the later columns' norms off the tiles below;
     the components broadcast to one shape, and ``sxy`` (or its real part)
-    is the tile's own buffer, which the caller may overwrite.  No other
-    array of the tile's shape is built: a scale or proj denominator is
-    formed a few rows at a time, and the tile's finiteness is proven from
-    the largest and smallest of its norms, with a pass over the tile only
-    when that proof fails (a norm that is not finite, or extreme norms whose
-    rewrite overflows or underflows).
+    is the tile's own buffer, which the caller may overwrite.  A scale or
+    proj denominator is formed a few rows at a time, never in the tile's
+    shape.
 
     With ``blocks``, the row blocks of a float Gram being filled bottom up
     (block b holds rows b*h to b*h+h and columns b*h to N, h the first
@@ -400,13 +365,6 @@ def triple_tiles(points, spec: Invariance | None, blocks=None):
     complex one, goes to one reused buffer of a real tile's bytes instead,
     so its tiles have fewer rows.
     """
-    for start, stop, triple, _ in _proven_tiles(points, spec, blocks):
-        yield start, stop, triple
-
-
-def _proven_tiles(points, spec: Invariance | None, blocks, base=None):
-    # triple_tiles, each tile with whether _norm_proof proves it finite, with base
-    # its base values too.
     n = len(points)
     ids = np.arange(n)
     points, adjoint = _triple_field(points, spec, ids)
@@ -420,7 +378,7 @@ def _proven_tiles(points, spec: Invariance | None, blocks, base=None):
         out = None if blocks is None else _gram_tile(blocks, start, stop)
         if buffer is not None:
             out = buffer[: out.size].reshape(out.shape)
-        yield start, stop, *_tile_triple(spec, points, adjoint, ids, norms, start, stop, out, base)
+        yield start, stop, _tile_triple(spec, points, adjoint, ids, norms, start, stop, out)
 
 
 def _gram_tile(blocks, start, stop):
@@ -435,26 +393,18 @@ def _gram_tile(blocks, start, stop):
     return block.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
 
 
-def _tile_triple(
-    spec: Invariance | None, points, adjoint, ids, norms, start, stop, out=None, base=None,
-    prove=True,
-):
+def _tile_triple(spec: Invariance | None, points, adjoint, ids, norms, start, stop, out=None):
     # Rows start:stop, columns start:N of the rewritten triple field of a point array
-    # or a stack of point sets, and whether _norm_proof proves it (with base, its
-    # base values too; never without prove); with out, the product and its rewrite
-    # both go to out.  The rows' norms, the product's real diagonal, go back to it
-    # and to norms.  Kept out of triple_tiles so that no raw tile outlives its
-    # rewrite.
+    # or a stack of point sets; with out, the product and its rewrite both go to out.
+    # The rows' norms, the product's real diagonal, go back to it and to norms.
+    # Kept out of triple_tiles so that no raw tile outlives its rewrite.
     with np.errstate(over="ignore", invalid="ignore"):
         sxy = np.matmul(points[..., start:stop, :], adjoint[..., start:], out=out)
     diagonal = np.arange(stop - start)
     norms[..., start:stop] = np.real(sxy[..., diagonal, diagonal])
     sxy[..., diagonal, diagonal] = norms[..., start:stop]
     sxx, syy = norms[..., start:stop, None], norms[..., None, start:]
-    later = norms[..., start:]
-    proven = prove and _norm_proof(spec, base, np.max(later), np.min(later))
-    rows, cols = ids[..., start:stop, None], ids[..., None, start:]
-    return _rewrite(spec, sxx, sxy, syy, rows, cols, out, proven), proven
+    return _rewrite(spec, sxx, sxy, syy, ids[..., start:stop, None], ids[..., None, start:], out)
 
 
 def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
@@ -468,9 +418,7 @@ def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
     # The whole 2x2 field, one tile of each two-point set, is rewritten, not entry
     # (0, 1) alone: a norm that overflows can rewrite to a finite <x,y> (scale:
     # 1e160 / inf = 0.0), and only the diagonal entries then show it.
-    # Its 2x2 fields are checked as they are: a proof costs more than it saves there.
-    norms = np.empty(ids.shape, points.real.dtype)
-    triple, _ = _tile_triple(spec, points, adjoint, ids, norms, 0, 2, prove=False)
+    triple = _tile_triple(spec, points, adjoint, ids, np.empty(ids.shape, points.real.dtype), 0, 2)
     return tuple(t[:, 0, 1] for t in np.broadcast_arrays(*triple))
 
 
@@ -488,10 +436,9 @@ def invariant_inner(spec: Invariance, x, y):
     return kernel_triple(KernelSpec(BaseKernel("linear"), spec), x, y).sxy
 
 
-def _checked_values(base: BaseKernel, triple, rows, cols, out=None, proven=False) -> np.ndarray:
+def _checked_values(base: BaseKernel, triple, rows, cols, out=None) -> np.ndarray:
     # Base-kernel values, into out if given; errors name pairs by the ids in rows
-    # and cols (broadcast).  Values proven finite by _norm_proof skip the
-    # finiteness pass.
+    # and cols (broadcast).
     try:
         # Overflow and division by zero are reported as a NumericalError below, not warned.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -501,8 +448,6 @@ def _checked_values(base: BaseKernel, triple, rows, cols, out=None, proven=False
         raise NegativeDistanceError(
             f"kernel evaluation failed for pair {pair}: {err}", index=err.index
         ) from err
-    if proven:
-        return values
     finite = np.isfinite(values)
     if not np.all(finite):
         pair = _pair_name(rows, cols, finite.shape, np.argmin(finite))
@@ -520,9 +465,9 @@ def _gram_blocks(points, spec: KernelSpec, height: int) -> tuple:
     # rows and mirrored into the finished rows of its block below it.
     n = len(points)
     blocks = tuple(np.empty((min(b + height, n) - b, n - b)) for b in range(0, max(n, 1), height))
-    for start, stop, triple, proven in _proven_tiles(points, spec.invariance, blocks, spec.base):
+    for start, stop, triple in triple_tiles(points, spec.invariance, blocks):
         tile = _gram_tile(blocks, start, stop)
-        _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n], out=tile, proven=proven)
+        _checked_values(spec.base, triple, *np.ogrid[start:stop, start:n], out=tile)
         square = tile[:, : stop - start]
         np.copyto(square, square.T, where=np.tri(stop - start, k=-1, dtype=bool))
         block, top = blocks[start // height], start % height

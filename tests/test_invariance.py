@@ -45,7 +45,7 @@ from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_se
 from invkern.errors import (
     FieldError, InvkernError, NumericalError, ParseError, ValidationError, ZeroVectorError,
 )
-from invkern.invariance import GRAM_BLOCK_ROWS, _gram_tile, _norm_proof, triple_tiles
+from invkern.invariance import GRAM_BLOCK_ROWS, _gram_tile, triple_tiles
 from invkern.kernels import base_values, squared_distance
 from oracles import OracleSizeError, frobenius_inner, median_distance, quotient_map_oracle
 
@@ -673,7 +673,7 @@ OUT_CASES = [
     if field == "complex" or inv != rotation(3)
 ]
 OUT_FAMILIES = [linear(), gaussian(1.3), laplace(0.7), poly(3), polyhom(2)]
-NORM_PROOF_INVARIANCES = [
+EXTREME_INVARIANCES = [
     None, SIGN, PHASE, SCALE, PROJ, rotation(3), chain(SCALE, SIGN), chain(SIGN, PROJ),
 ]
 
@@ -821,44 +821,24 @@ class TestGramBlocks:
 
 
 
-class TestNormProof:
-    # A tile whose extreme norms rewrite to finite triples, and whose widened
-    # rewritten extremes have finite base values, skips both finiteness passes.
-    @pytest.mark.parametrize("inv", NORM_PROOF_INVARIANCES, ids=str)
-    def test_ordinary_norms_prove_and_bad_ones_do_not(self, inv):
-        for base in (None, gaussian(1.0), poly(7)):
-            assert _norm_proof(inv, base, 3.0, 0.5)
-            for bad in (np.nan, np.inf):
-                assert not _norm_proof(inv, base, bad, 1.0)
-        assert not _norm_proof(inv, polyhom(2000), 3.0, 0.5)
-
-    @pytest.mark.parametrize("inv", [SCALE, PROJ, chain(SIGN, PROJ)], ids=format_invariance)
-    def test_denominators_out_of_range_do_not_prove(self, inv):
-        # The smallest norm squared underflows to 0.0, the largest overflows.
-        assert not _norm_proof(inv, None, 1.0, 1e-170)
-        assert not _norm_proof(inv, None, 1e160, 1.0)
-
-    def test_widening_covers_rounding_past_cauchy_schwarz(self):
+class TestRowChunks:
+    # Scale and proj denominators are formed a few rows at a time, never in the
+    # tile's shape.
+    def test_rounding_past_cauchy_schwarz_is_named(self):
         # The proj value of x and 3x rounds above 1.0, and a degree of 2**62
-        # takes it to inf while 1.0 stays 1.0: only the widened bound, 2.0,
-        # overflows too, so the pass that names the pair still runs.
+        # takes it to inf while the diagonal 1.0 stays 1.0.
         x = np.array([0.1, 0.1, 0.1])
         with pytest.raises(NumericalError, match=r"pair \(0, 1\)"):
             kernel_matrix(np.array([x, 3.0 * x]), KernelSpec(polyhom(2**62), PROJ))
 
-    def test_tiles_of_ordinary_points_are_proven(self):
-        pts = np.random.default_rng(41).standard_normal((300, 3))
-        spec = KernelSpec(gaussian(1.0), PROJ)
-        with mock.patch.object(invariance, "_norm_proof", wraps=_norm_proof) as proof:
-            kernel_matrix(pts, spec)
-        assert proof.call_count == 3
-        assert all(call.args[:2] == (PROJ, spec.base) for call in proof.call_args_list)
-        assert all(_norm_proof(*call.args) for call in proof.call_args_list)
+    def test_underflowing_denominator_is_an_error_not_a_warning(self):
+        # 1e-150 squared underflows to 0.0, and sxy / 0.0 warned before the error.
+        pts = np.array([[1e-150, 0.0], [0.0, 1e-150], [1.0, 1.0]])
+        with pytest.raises(NumericalError, match=r"pair \(0, 0\)"):
+            kernel_matrix(pts, KernelSpec(gaussian(1.0), SCALE))
 
     def test_proj_tiles_build_no_tile_sized_temporary(self):
-        # The proj denominator is formed a few rows at a time and the finiteness
-        # passes are proven away: the parent's 128 x 2000 denominator alone
-        # was 2 MB.
+        # A 128 x 2000 denominator alone would be 2 MB.
         pts = np.random.default_rng(42).standard_normal((2000, 2))
         tracemalloc.start()
         try:
@@ -885,7 +865,7 @@ class TestNormProof:
         assert same_bits(got[1], expected) and np.isnan(got[1][-1, -1])
 
 
-NORM_PROOF_BASES = [linear(), gaussian(1.0), laplace(1.0), poly(2), poly(7), polyhom(3)]
+EXTREME_BASES = [linear(), gaussian(1.0), laplace(1.0), poly(2), poly(7), polyhom(3)]
 
 
 @st.composite
@@ -924,19 +904,19 @@ def gram_outcome(build, points, spec):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(points=extreme_points())
-def test_norm_proof_keeps_every_bit_and_error(points):
-    # Proven tiles give the values, or the error type, message and pair, that
-    # the finiteness passes give with the proof made to fail.  Tiles of 4 rows
-    # in blocks of 8 give each tile its own extreme norms.
+def test_row_chunks_keep_every_bit_and_error(points):
+    # Denominators of one row at a time give the values, or the error type,
+    # message and pair, of one denominator per tile.  Tiles of 4 rows
+    # in blocks of 8 spread the points over several tiles and blocks.
     with mock.patch.object(invariance, "TILE_ROWS", 4), mock.patch.object(
         invariance, "GRAM_BLOCK_ROWS", 8
     ):
-        for inv, base in itertools.product(NORM_PROOF_INVARIANCES, NORM_PROOF_BASES):
+        for inv, base in itertools.product(EXTREME_INVARIANCES, EXTREME_BASES):
             spec = KernelSpec(base, inv)
             for build in (kernel_matrix, gram_blocks):
-                proven = gram_outcome(build, points, spec)
-                with mock.patch.object(invariance, "_norm_proof", return_value=False):
-                    assert proven == gram_outcome(build, points, spec), kernel_label(spec)
+                whole = gram_outcome(build, points, spec)
+                with mock.patch.object(invariance, "_NORM_PRODUCT_VALUES", 1):
+                    assert whole == gram_outcome(build, points, spec), kernel_label(spec)
 
 
 ORBIT_CASES = [
