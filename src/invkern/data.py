@@ -33,8 +33,8 @@ class Dataset:
 
     def __post_init__(self):
         self.points = np.asarray(self.points)
-        if self.points.ndim != 2:
-            raise ValidationError("points must be a 2-D array (one row per point)")
+        if self.points.ndim != 2 or self.points.dtype.kind not in "biufc":
+            raise ValidationError("points must be a 2-D numeric array (one row per point)")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if len(self.labels) != len(self.points):

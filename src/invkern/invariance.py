@@ -363,8 +363,12 @@ def triple_tiles(points, spec: Invariance | None, blocks=None):
     :func:`_gram_tile`, and the next tile is built only when the caller
     asks for it.  A product of another dtype than the Gram's, such as a
     complex one, goes to one reused buffer of a real tile's bytes instead,
-    so its tiles have fewer rows.
+    so its tiles have fewer rows.  A point array that is not 2-D numeric
+    raises ValidationError.
     """
+    points = np.asarray(points)
+    if points.ndim != 2 or points.dtype.kind not in "biufc":
+        raise ValidationError("points must be a 2-D numeric array (one row per point)")
     n = len(points)
     ids = np.arange(n)
     points, adjoint = _triple_field(points, spec, ids)
@@ -501,8 +505,9 @@ def gram_blocks(points, spec: KernelSpec) -> tuple:
     its own h x h square mirrored and nothing below it, so the blocks hold
     about 0.58 of the Gram's values at N = 3000 and no N x N array exists.
     Every value keeps its bits, and a Gram of at most ``GRAM_BLOCK_ROWS``
-    points is one block, the :func:`kernel_matrix` array itself.  The
-    spectral functions of :mod:`invkern.spectral` read either form.
+    points is one block, the :func:`kernel_matrix` array itself.  This is
+    the one form the spectral functions of :mod:`invkern.spectral` read;
+    they take an N x N array as one block.
     """
     return _gram_blocks(points, spec, GRAM_BLOCK_ROWS)
 

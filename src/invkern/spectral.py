@@ -9,11 +9,13 @@ selection are computed (:func:`truncated_eig`), by one Lanczos run whose
 work is capped at a share of a dense solve's, after which the dense solve
 runs.
 
-The eigensolvers, the entropy and the embedding read a Gram as a plain
-N x N array or as the tuple of row blocks of
-:func:`invkern.invariance.gram_blocks`, which clustering builds: through
-its order N, its product with a vector and its mass 1'K1, and a dense
-solve unpacks the blocks into the Gram of ``kernel_matrix`` bit for bit.
+Every function here that takes a Gram reads it in one form, the tuple of
+row blocks of :func:`invkern.invariance.gram_blocks`, which clustering
+builds; an N x N array is read as one block, with the bits of its own
+``G @ v`` and ``G.sum()``.  The blocks are read through their order N,
+their product with a vector and their mass 1'K1, and a dense solve
+unpacks them into the Gram of ``kernel_matrix`` bit for bit (one block is
+that Gram, not a copy).  A Gram of another shape raises ValidationError.
 """
 
 from __future__ import annotations
@@ -72,27 +74,29 @@ def build_gram(data, spec: KernelSpec) -> np.ndarray:
     return kernel_matrix(_gram_points(data), spec)
 
 
-def _as_gram(gram):
-    # A tuple of two or more row blocks as it is; a lone block is the whole Gram,
-    # and anything else becomes a float array.
-    if isinstance(gram, tuple):
-        return gram[0] if len(gram) == 1 else gram
-    return np.asarray(gram, dtype=float)
+def _blocks(gram) -> tuple:
+    # The Gram as row blocks: a tuple as it is, an N x N real array as one block.
+    # Block b's columns run from its first row to N, so the first is N wide.
+    if not isinstance(gram, tuple):
+        gram = np.asarray(gram)
+        gram = (gram.astype(float, copy=False),) if gram.dtype.kind in "biuf" else ()
+    width = np.shape(gram[0])[1] if gram and np.ndim(gram[0]) == 2 else 0
+    if width < 1 or width != sum(len(block) for block in gram):
+        raise ValidationError("a Gram must be a non-empty square real array or its row blocks")
+    return gram
 
 
-def _order(gram) -> int:
+def _order(blocks) -> int:
     # N: a block's columns run from its first row to the last column.
-    return gram[0].shape[1] if isinstance(gram, tuple) else len(gram)
+    return blocks[0].shape[1]
 
 
-def _matvec(gram, v: np.ndarray) -> np.ndarray:
+def _matvec(blocks, v: np.ndarray) -> np.ndarray:
     # G @ v.  A block gives its own rows through its square and rectangle, and
     # the rows below it through the rectangle's transpose.
-    if not isinstance(gram, tuple):
-        return gram @ v
     y = np.zeros(len(v))
     start = 0
-    for block in gram:
+    for block in blocks:
         stop = start + len(block)
         y[start:stop] += block @ v[start:]
         y[stop:] += v[start:stop] @ block[:, stop - start :]
@@ -100,22 +104,20 @@ def _matvec(gram, v: np.ndarray) -> np.ndarray:
     return y
 
 
-def _mass(gram):
+def _mass(blocks):
     # 1'K1: each block's square once and its rectangle twice, for the mirror
     # that no block holds.
-    if not isinstance(gram, tuple):
-        return gram.sum()
-    return sum(block[:, : len(block)].sum() + 2.0 * block[:, len(block) :].sum() for block in gram)
+    return sum(b[:, : len(b)].sum() + 2.0 * b[:, len(b) :].sum() for b in blocks)
 
 
-def _dense(gram) -> np.ndarray:
-    # The N x N Gram: row blocks unpacked and mirrored into the lower triangle,
-    # equal to kernel_matrix's Gram bit for bit; a plain array as it is.
-    if not isinstance(gram, tuple):
-        return gram
-    dense = np.empty((_order(gram), _order(gram)))
+def _dense(blocks) -> np.ndarray:
+    # The N x N Gram: a lone block as it is, more unpacked and mirrored into the
+    # lower triangle, equal to kernel_matrix's Gram bit for bit.
+    if len(blocks) == 1:
+        return blocks[0]
+    dense = np.empty((_order(blocks), _order(blocks)))
     start = 0
-    for block in gram:
+    for block in blocks:
         stop = start + len(block)
         dense[start:stop, start:] = block
         dense[stop:, start:stop] = block[:, stop - start :].T
@@ -136,9 +138,11 @@ def check_psd(gram) -> PsdReport:
     """Minimum eigenvalue, the trace, and whether the minimum clears
     -1e-8 * max(trace, 1).
 
-    A trace or eigenvalue that overflows raises NumericalError.
+    ``gram`` is an N x N array or a tuple of row blocks, unpacked into one
+    N x N array.  A trace or eigenvalue that overflows raises
+    NumericalError.
     """
-    gram = np.asarray(gram, dtype=float)
+    gram = _dense(_blocks(gram))
     try:
         eigenvalues = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as err:
@@ -177,21 +181,21 @@ def _dense_eig(values: np.ndarray) -> EigenDecomposition:
 def sym_eig(gram, n_axes: int | None = None) -> EigenDecomposition:
     """Symmetric eigendecomposition, descending, fixed signs.
 
-    ``gram`` is an N x N array or a tuple of row blocks
-    (:func:`invkern.invariance.gram_blocks`).  Without ``n_axes``, all N
-    eigenpairs from dense ``eigh`` (N <= 5000), of the blocks unpacked
-    into one N x N array.  With ``n_axes`` and N >= ``LANCZOS_MIN_N``,
-    only the top eigenpairs that certify the entropy selection of
-    ``n_axes`` axes (:func:`truncated_eig`), or all N when Lanczos spends
-    its budget first.  The sign convention makes the
+    ``gram`` is a tuple of row blocks
+    (:func:`invkern.invariance.gram_blocks`) or an N x N array, one block.
+    Without ``n_axes``, all N eigenpairs from dense ``eigh`` (N <= 5000),
+    of the blocks unpacked into one N x N array.  With ``n_axes`` and
+    N >= ``LANCZOS_MIN_N``, only the top eigenpairs that certify the
+    entropy selection of ``n_axes`` axes (:func:`truncated_eig`), or all N
+    when Lanczos spends its budget first.  The sign convention makes the
     largest-magnitude component of each eigenvector positive, so outputs
     are reproducible across runs.  An eigenvalue that overflows raises
     NumericalError.
     """
-    gram = _as_gram(gram)
-    if n_axes is not None and _order(gram) >= LANCZOS_MIN_N:
-        return truncated_eig(gram, n_axes)
-    return _dense_eig(_dense(gram))
+    blocks = _blocks(gram)
+    if n_axes is not None and _order(blocks) >= LANCZOS_MIN_N:
+        return truncated_eig(blocks, n_axes)
+    return _dense_eig(_dense(blocks))
 
 
 def _entropy_ranking(eig: EigenDecomposition, n: int):
@@ -228,7 +232,7 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w
 
 
-def _lanczos(gram, m: int, v0: np.ndarray):
+def _lanczos(blocks, m: int, v0: np.ndarray):
     """Yield the top ``m``, ``2m``, ``4m``, ... eigenpairs of one Krylov run from ``v0``.
 
     Single-vector Lanczos with full reorthogonalization (two Gram-Schmidt
@@ -247,7 +251,7 @@ def _lanczos(gram, m: int, v0: np.ndarray):
     reach _BUDGET_SHARE of a dense eigh's (of max(N, LANCZOS_MIN_N)
     points), or when a value overflows.
     """
-    n = _order(gram)
+    n = _order(blocks)
     budget = _BUDGET_SHARE * _EIGH_FLOPS * max(n, LANCZOS_MIN_N) ** 3
     basis = np.empty((min(n, 2 * m), n))
     alpha, beta = np.zeros(n), np.zeros(n)
@@ -257,7 +261,7 @@ def _lanczos(gram, m: int, v0: np.ndarray):
     for j in range(n):
         done = basis[: j + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _matvec(gram, basis[j])
+            w = _matvec(blocks, basis[j])
             alpha[j] = basis[j] @ w
             beta[j] = np.linalg.norm(_orthogonalize(w, done))
             finite = np.isfinite(alpha[j] + beta[j])
@@ -299,23 +303,23 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     tolerance) the selection equals the dense one.  When Lanczos stops
     first (its work budget spent, or an exhausted breakdown or overflow,
     see :func:`_lanczos`), the result is the dense decomposition, of row
-    blocks unpacked into one N x N array.  Lanczos reads ``gram``, an
-    N x N array or a tuple of row blocks, only through its products with
-    vectors.  Order and signs follow :func:`sym_eig`.
+    blocks unpacked into one N x N array.  Lanczos reads ``gram``, a
+    tuple of row blocks or an N x N array as one block, only through its
+    products with vectors.  Order and signs follow :func:`sym_eig`.
     """
-    gram = _as_gram(gram)
-    n = _order(gram)
+    blocks = _blocks(gram)
+    n = _order(blocks)
     if not 1 <= n_axes <= n:
         raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
     # A random start, not ones(N): the Krylov space of ones cannot reach
     # eigenvectors orthogonal to it, which would void the certificate.
     v0 = np.random.default_rng(0).standard_normal(n)
-    for eig in _lanczos(gram, 2 * n_axes, v0):
+    for eig in _lanczos(blocks, 2 * n_axes, v0):
         bound = max(eig.eigenvalues[-1], 0.0) / n
         contributions, order = _entropy_ranking(eig, n)
         if contributions[order[n_axes - 1]] > bound * (1.0 + 1e-9):
             return eig
-    return _dense_eig(_dense(gram))
+    return _dense_eig(_dense(blocks))
 
 
 def renyi_entropy(gram, eig: EigenDecomposition | None = None):
@@ -324,19 +328,20 @@ def renyi_entropy(gram, eig: EigenDecomposition | None = None):
     Axis i contributes lambda_i * (v_i' 1)^2 / N^2, one value per
     eigenpair of ``eig``.  Over the full decomposition (the default) the
     contributions sum back to the total, which is the conservation law
-    the tests pin; over a truncated one they fall short of it.  Of a
-    tuple of row blocks, the mass sums each block's square and twice its
-    rectangle, so it can differ from the N x N array's sum in the last
-    bits.  A mass that overflows raises NumericalError.
+    the tests pin; over a truncated one they fall short of it.  The mass
+    sums each row block's square and twice its rectangle: of one block,
+    an N x N array, that is the array's own sum; of more, it can differ
+    from it in the last bits.  A mass that overflows raises
+    NumericalError.
     """
-    gram = _as_gram(gram)
-    n = _order(gram)
+    blocks = _blocks(gram)
+    n = _order(blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(_mass(gram)) / n**2
+        total = float(_mass(blocks)) / n**2
     if not np.isfinite(total):
         raise NumericalError("the Gram's entropy mass 1'K1 overflows")
     if eig is None:
-        eig = sym_eig(gram)
+        eig = sym_eig(blocks)
     return total, _entropy_ranking(eig, n)[0]
 
 
@@ -349,11 +354,12 @@ def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
     rows to unit length; rows with norm below 1e-12 are left as zero
     vectors.
     """
-    n = _order(gram)
+    blocks = _blocks(gram)
+    n = _order(blocks)
     if not 1 <= n_axes <= n:
         raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
     if eig is None:
-        eig = sym_eig(gram)
+        eig = sym_eig(blocks)
     contributions, order = _entropy_ranking(eig, n)
     # An axis contributes at most max|lambda| / N, since (v'1)^2 <= N.  The
     # eigensolver's backward error, about N * eps * max|lambda|, moves the
@@ -442,6 +448,8 @@ def kmeans(points, k: int, seed: int = 0):
         pts = pts[:, None]
     if not 1 <= k <= len(pts):
         raise ValidationError(f"k must be in [1, {len(pts)}], got {k}")
+    if not np.isfinite(pts).all():
+        raise ValidationError("k-means points must be finite")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(_KMEANS_RESTARTS):
@@ -455,11 +463,12 @@ def kmeans(points, k: int, seed: int = 0):
 def cluster_gram(gram, k: int, seed: int = 0) -> ClusteringResult:
     """Run the spectral pipeline on a prebuilt Gram matrix, embedding on k axes.
 
-    ``gram`` is an N x N array or a tuple of row blocks
+    ``gram`` is a tuple of row blocks
     (:func:`invkern.invariance.gram_blocks`), which holds no N x N array
-    unless the eigensolver falls back to dense.  From ``LANCZOS_MIN_N``
-    points on, ``entropy_contributions`` holds one value per computed
-    eigenpair (see :func:`truncated_eig`), not N.
+    unless the eigensolver falls back to dense, or an N x N array, one
+    block.  From ``LANCZOS_MIN_N`` points on, ``entropy_contributions``
+    holds one value per computed eigenpair (see :func:`truncated_eig`),
+    not N.
     """
     eig = sym_eig(gram, k)
     total, contributions = renyi_entropy(gram, eig)
@@ -492,6 +501,8 @@ def clustering_accuracy(labels, truth) -> float:
     truth = np.asarray(truth).ravel()
     if labels.shape != truth.shape:
         raise ValidationError("labels and truth must have the same length")
+    if not len(labels):
+        raise ValidationError("labels must be non-empty")
     classes, codes = np.unique(np.concatenate([labels, truth]), return_inverse=True)
     m, n = len(classes), len(labels)
     confusion = np.zeros((m, m), dtype=int)

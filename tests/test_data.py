@@ -31,6 +31,16 @@ from invkern.data import _load_cells, best_matching
 from invkern.errors import DegenerateClusterError, FormatError, ParseError, ValidationError
 
 
+@pytest.mark.parametrize(
+    "points",
+    [np.ones(3), np.ones((2, 2, 2)), np.array([["a", "b"]])],
+    ids=["1-d", "3-d", "strings"],
+)
+def test_dataset_points_must_be_a_2d_numeric_array(points):
+    with pytest.raises(ValidationError, match="2-D numeric array"):
+        Dataset(points)
+
+
 class TestGenXor:
     def test_shape_and_labels(self):
         data = gen_xor(50, 0.15, seed=0)

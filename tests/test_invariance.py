@@ -782,6 +782,42 @@ class TestGramTiles:
         pair = re.search(r"pair \((\d+), (\d+)\)", str(info.value))
         assert {3, 290} & {int(pair[1]), int(pair[2])}
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.ones(3),
+            np.ones((2, 2, 2)),
+            np.array([["a", "b"], ["c", "d"]]),
+            np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object),
+        ],
+        ids=["1-d", "3-d", "strings", "objects"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: kernel_matrix(p, KernelSpec(gaussian(1.0))),
+            lambda p: gram_blocks(p, KernelSpec(gaussian(1.0), SIGN)),
+            lambda p: median_heuristic_sigma(p),
+        ],
+        ids=["kernel_matrix", "gram_blocks", "median"],
+    )
+    def test_a_point_array_not_2d_numeric_is_a_validation_error(self, points, call):
+        with pytest.raises(ValidationError, match="2-D numeric array"):
+            call(points)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.float32, np.longdouble])
+    def test_other_numeric_point_dtypes_are_read(self, dtype):
+        pts = np.random.default_rng(39).integers(0, 2, size=(20, 3)).astype(dtype)
+        spec = KernelSpec(gaussian(1.0), SIGN)
+        gram, floats = kernel_matrix(pts, spec), kernel_matrix(pts.astype(float), spec)
+        assert gram.dtype == np.float64
+        if dtype is np.longdouble:
+            np.testing.assert_allclose(gram, floats, rtol=1e-14, atol=0)
+        else:
+            assert np.array_equal(gram, floats)
+        median = median_heuristic_sigma(pts.astype(float))
+        assert median_heuristic_sigma(pts) == pytest.approx(median, rel=1e-14)
+
 
 class TestGramBlocks:
     # gram_blocks holds the rows b*512 to b*512+h, columns b*512 to N of

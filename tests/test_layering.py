@@ -232,3 +232,27 @@ def test_the_package_imports_no_scipy():
                 if module.split(".")[0] == "scipy"
             )
     assert offenders == []
+
+
+
+def test_one_gram_form():
+    # The spectral layer reads every Gram as row blocks: _blocks wraps an N x N
+    # array as one block, and nothing after it asks which form it got.
+    places = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) == "isinstance"
+                and any(getattr(n, "id", None) == "tuple" for n in ast.walk(child.args[-1]))
+            ):
+                places.add(where)
+            visit(child, where)
+
+    visit(ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8")), "<module>")
+    assert places <= {"_blocks"}
+    assert definitions_of({"_as_gram"}) == []

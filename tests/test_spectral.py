@@ -50,7 +50,15 @@ from invkern.errors import (
     ZeroVectorError,
 )
 from invkern.invariance import GRAM_BLOCK_ROWS, TILE_ROWS
-from invkern.spectral import LANCZOS_MIN_N, _entropy_ranking, _mass, _matvec, _seed_centers
+from invkern.spectral import (
+    LANCZOS_MIN_N,
+    _blocks,
+    _dense,
+    _entropy_ranking,
+    _mass,
+    _matvec,
+    _seed_centers,
+)
 from oracles import make_triple, seed_centers
 
 
@@ -539,6 +547,65 @@ class TestGramBlocks:
         assert peak < 0.75 * 2000 * 2000 * 8
 
 
+
+class TestOneGramForm:
+    # An N x N array is read as one row block, with the array's own bits.
+    def test_an_array_is_one_block_with_its_own_bits(self):
+        data, _ = gen_directions(6, 600, seed=5)
+        gram = build_gram(data, KernelSpec(gaussian(0.3), PROJ))
+        blocks = _blocks(gram)
+        assert len(blocks) == 1 and blocks[0] is gram
+        assert _blocks(blocks) is blocks
+        assert _dense(blocks) is gram
+        v = np.random.default_rng(1).standard_normal(600)
+        assert np.array_equal(_matvec(blocks, v), gram @ v)
+        assert _mass(blocks) == gram.sum()
+
+    def test_integer_and_list_grams_become_float_blocks(self):
+        assert _blocks(np.eye(3, dtype=int))[0].dtype == np.float64
+        assert sym_eig([[2, 0], [0, 1]]).eigenvalues.tolist() == [2.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sym_eig(np.empty((0, 0))),
+            lambda: sym_eig(()),
+            lambda: renyi_entropy(np.empty((0, 0))),
+            lambda: check_psd(np.empty((0, 0))),
+            lambda: truncated_eig(np.ones((2, 3)), 1),
+            lambda: sym_eig(np.ones((2, 3))),
+            lambda: check_psd(np.ones((2, 3))),
+            lambda: keca_embed(np.ones((3, 2)), 1),
+            lambda: cluster_gram(np.ones((2, 3)), 2),
+            lambda: cluster_gram(np.ones(4), 2),
+            lambda: sym_eig(np.ones((2, 2, 2))),
+            lambda: sym_eig(np.array([["a", "b"], ["c", "d"]])),
+            lambda: sym_eig(np.eye(2, dtype=complex)),
+            lambda: sym_eig((np.ones((2, 3)),)),
+            lambda: renyi_entropy((np.ones((2, 4)), np.ones((1, 2)))),
+        ],
+        ids=[
+            "sym_eig-empty",
+            "sym_eig-no-blocks",
+            "renyi-empty",
+            "check_psd-empty",
+            "truncated-2x3",
+            "sym_eig-2x3",
+            "check_psd-2x3",
+            "keca-3x2",
+            "cluster-2x3",
+            "cluster-1d",
+            "sym_eig-3d",
+            "sym_eig-strings",
+            "sym_eig-complex",
+            "block-not-n-wide",
+            "blocks-not-n-wide",
+        ],
+    )
+    def test_a_gram_of_the_wrong_shape_is_a_validation_error(self, call):
+        with pytest.raises(ValidationError, match="a Gram must be a non-empty square real array"):
+            call()
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     n=st.integers(60, 300),
@@ -676,6 +743,11 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.ones((3, 2)), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_are_a_validation_error(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            kmeans(np.full((4, 2), bad), 2)
+
     @pytest.mark.parametrize("k", [2, 6, 12])
     def test_seeding_chooses_the_reference_centres(self, k):
         # The running nearest distance picks the centres that recomputing every
@@ -754,6 +826,10 @@ class TestClusteringAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             clustering_accuracy([0, 1], [0, 1, 1])
+
+    def test_no_labels_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            clustering_accuracy([], [])
 
 
 class TestOneOwnerPerQuantity:
