@@ -26,7 +26,14 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .kernels import FAMILIES, BaseKernel, ScalarTriple, base_values, squared_distance
+from .kernels import (
+    FAMILIES,
+    BaseKernel,
+    ScalarTriple,
+    base_values,
+    row_chunks,
+    squared_distance,
+)
 
 KINDS = ("rotation", "phase", "scale", "proj", "chain")
 
@@ -38,10 +45,6 @@ _MAX_CHAIN_DEPTH = 4
 # Rows of the triple field rewritten at once.  Bounds the temporaries of
 # the rewrite and of the base kernel to TILE_ROWS x N values.
 TILE_ROWS = 128
-
-# Values of a scale or proj denominator formed at once: 16 rows of a
-# 2048-point tile, so the product sxx * syy stays in cache.
-_NORM_PRODUCT_VALUES = 16 * 2048
 
 # Rows of each block of gram_blocks.  A multiple of every tile step, so no
 # tile straddles two blocks.  512 rows kept a 3000-point Gram's matvec at the
@@ -247,7 +250,7 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy, out=None):
     # The denominator of a few rows at a time, never of the tile's shape; each
     # value is still the product sxx * syy that divides it.
     parts = [np.broadcast_to(v, shape) for v in (sxx, syy, sxy)]
-    for rows in _row_chunks(shape):
+    for rows in row_chunks(shape):
         a, b, part = (v[rows] for v in parts)
         denom = np.asarray(a * b)
         if overflow:
@@ -257,15 +260,6 @@ def transform_triples(spec: Invariance | None, sxx, sxy, syy, out=None):
         else:
             result[rows] /= denom
     return 1.0, result if result.ndim else result[()], 1.0
-
-
-def _row_chunks(shape) -> list:
-    # Index expressions of the first axis of `shape`, about _NORM_PRODUCT_VALUES
-    # values each; a 0-d shape is one chunk.
-    if not shape:
-        return [...]
-    rows = max(1, _NORM_PRODUCT_VALUES // max(1, math.prod(shape[1:])))
-    return [slice(r, r + rows) for r in range(0, shape[0], rows)]
 
 
 def _power(value, m: int, out=None):
@@ -341,6 +335,14 @@ def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols, out=None):
     return triple
 
 
+def _point_array(points) -> np.ndarray:
+    # The points as an array, checked before anything is sized from their count.
+    points = np.asarray(points)
+    if points.ndim != 2 or points.dtype.kind not in "biufc":
+        raise ValidationError("points must be a 2-D numeric array (one row per point)")
+    return points
+
+
 def triple_tiles(points, spec: Invariance | None, blocks=None):
     """Row tiles of the upper triangle of a 2-D point array's triple field.
 
@@ -366,9 +368,7 @@ def triple_tiles(points, spec: Invariance | None, blocks=None):
     so its tiles have fewer rows.  A point array that is not 2-D numeric
     raises ValidationError.
     """
-    points = np.asarray(points)
-    if points.ndim != 2 or points.dtype.kind not in "biufc":
-        raise ValidationError("points must be a 2-D numeric array (one row per point)")
+    points = _point_array(points)
     n = len(points)
     ids = np.arange(n)
     points, adjoint = _triple_field(points, spec, ids)
@@ -462,12 +462,14 @@ def _checked_values(base: BaseKernel, triple, rows, cols, out=None) -> np.ndarra
     return values
 
 
-def _gram_blocks(points, spec: KernelSpec, height: int) -> tuple:
-    # The Gram in row blocks of `height` rows, as gram_blocks describes them.  Each
-    # tile, from the last one up, is built in its block's own memory by
-    # triple_tiles, turned into checked base-kernel values in place, copied to its
-    # rows and mirrored into the finished rows of its block below it.
+def _gram_blocks(points, spec: KernelSpec, height: int | None) -> tuple:
+    # The Gram in row blocks of `height` rows (one block if None), as gram_blocks
+    # describes them.  Each tile, from the last one up, is built in its block's
+    # own memory by triple_tiles, turned into checked base-kernel values in place,
+    # copied to its rows and mirrored into the finished rows of its block below it.
+    points = _point_array(points)
     n = len(points)
+    height = height or max(n, 1)
     blocks = tuple(np.empty((min(b + height, n) - b, n - b)) for b in range(0, max(n, 1), height))
     for start, stop, triple in triple_tiles(points, spec.invariance, blocks):
         tile = _gram_tile(blocks, start, stop)
@@ -495,7 +497,7 @@ def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
     NumericalError naming the pair: the first failing pair of the lowest
     failing tile.
     """
-    return _gram_blocks(points, spec, max(len(points), 1))[0]
+    return _gram_blocks(points, spec, None)[0]
 
 
 def gram_blocks(points, spec: KernelSpec) -> tuple:
@@ -611,7 +613,7 @@ def median_heuristic_sigma(points, invariance: Invariance | None = None) -> floa
     partitioning it; sqrt is monotone and correctly rounded, so this equals
     the median of the distances themselves bit for bit.
     """
-    pts = np.asarray(getattr(points, "points", points))
+    pts = _point_array(getattr(points, "points", points))
     n = len(pts)
     if n < 2:
         raise ValidationError("median heuristic needs at least two points")

@@ -8,6 +8,7 @@ triple without touching the kernel formulas themselves.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -18,6 +19,22 @@ from .errors import NegativeDistanceError, ValidationError
 # Each kernel family and the one parameter it reads, if any.
 FAMILIES = {"linear": None, "gaussian": "sigma", "laplace": "sigma",
             "poly": "degree", "polyhom": "degree"}
+
+# Values of a norm sum sxx + syy or norm product sxx * syy formed at once:
+# 16 rows of a 2048-point tile, so they stay in cache.
+_NORM_CHUNK_VALUES = 16 * 2048
+
+
+def row_chunks(shape) -> list:
+    """Index expressions of the first axis of ``shape``, about 32k values each.
+
+    The row chunks in which a norm sum or norm product is formed, so that
+    it never takes a tile's shape; a 0-d shape is one chunk.
+    """
+    if not shape:
+        return [...]
+    rows = max(1, _NORM_CHUNK_VALUES // max(1, math.prod(shape[1:])))
+    return [slice(r, r + rows) for r in range(0, shape[0], rows)]
 
 
 @dataclass(frozen=True)
@@ -105,7 +122,9 @@ def squared_distance(sxx, sxy, syy, out=None):
     one reduction: the minimum is compared with the tolerance when that is
     one number (the 1.0 diagonals of scale and proj), else with -1e-9, the
     largest any tolerance can be, and a mask of the values is built only
-    when the minimum is below that or NaN, to name the pair.  ``out``,
+    when the minimum is below that or NaN, to name the pair.  A sum of
+    norm vectors sxx + syy is formed about 32k values at a time, never in
+    the shape of the result, with the bits of one whole sum.  ``out``,
     if given, receives the distances and may hold ``sxy`` or its real
     part; the inputs are only read otherwise, and scalar inputs give a
     NumPy float.
@@ -114,8 +133,15 @@ def squared_distance(sxx, sxy, syy, out=None):
     syy = np.asarray(syy, dtype=float)
     s = np.real(np.asarray(sxy))
     d2 = np.empty(np.broadcast_shapes(sxx.shape, s.shape, syy.shape)) if out is None else out
-    # (sxx + syy) first: keeps the value exactly symmetric in x and y
-    np.subtract(sxx + syy, np.multiply(s, 2.0, out=d2), out=d2)
+    np.multiply(s, 2.0, out=d2)
+    # (sxx + syy) first: keeps the value exactly symmetric in x and y.  A sum
+    # of norm vectors is formed a few rows at a time, never in d2's shape.
+    if sxx.size == syy.size == 1:
+        np.subtract(sxx + syy, d2, out=d2)
+    else:
+        a, b = (np.broadcast_to(v, d2.shape) for v in (sxx, syy))
+        for rows in row_chunks(d2.shape):
+            np.subtract(a[rows] + b[rows], d2[rows], out=d2[rows])
     # The tolerance is positive, so only a negative d2 can fall below it, and
     # only a negative d2 needs the clamp: one reduction tests for both.  A NaN
     # makes the minimum NaN and takes the branch too, so a negative value

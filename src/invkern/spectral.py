@@ -42,10 +42,16 @@ _KMEANS_MAX_ITER = 300
 
 @dataclass
 class EigenDecomposition:
-    """Eigenvalues sorted descending with orthonormal eigenvector columns."""
+    """Eigenvalues sorted descending with orthonormal eigenvector columns.
+
+    ``mass`` is the Gram's 1'K1 when the eigensolver summed it
+    (:func:`truncated_eig` does, for its certificate), so that
+    :func:`renyi_entropy` of the same Gram need not sum it again.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    mass: float | None = None
 
 
 @dataclass
@@ -134,6 +140,11 @@ class PsdReport:
     trace: float
 
 
+# A Gram passes check_psd when its smallest eigenvalue is at least
+# -_PSD_TOL * max(trace, 1).
+_PSD_TOL = 1e-8
+
+
 def check_psd(gram) -> PsdReport:
     """Minimum eigenvalue, the trace, and whether the minimum clears
     -1e-8 * max(trace, 1).
@@ -152,7 +163,7 @@ def check_psd(gram) -> PsdReport:
     if not (np.isfinite(trace) and np.isfinite(eigenvalues).all()):
         raise NumericalError("the Gram's trace or an eigenvalue overflows")
     min_eigenvalue = float(eigenvalues[0])
-    return PsdReport(min_eigenvalue, min_eigenvalue >= -1e-8 * max(trace, 1.0), trace)
+    return PsdReport(min_eigenvalue, min_eigenvalue >= -_PSD_TOL * max(trace, 1.0), trace)
 
 
 def _descending(eigenvalues, vectors) -> EigenDecomposition:
@@ -240,9 +251,12 @@ def _lanczos(blocks, m: int, v0: np.ndarray):
     tridiagonal T_j are yielded once every residual |beta_j s_ji| is at
     most _RITZ_TOL * |theta_1|, theta_1 the Ritz value largest in
     magnitude; the run then goes on with the same basis and tridiagonal
-    until the top ``2m`` settle, and so on.  The basis grows as it is
-    used.  A breakdown means the basis spans an invariant subspace, which
-    holds one vector of each eigenspace the start touched: Lanczos goes on
+    until the top ``2m`` settle, and so on.  :func:`truncated_eig` starts
+    it at m = n_axes, so the pairs past n_axes, which come out of the
+    slower bulk of the spectrum, are only computed when its certificate
+    fails.  The basis starts at 2m vectors and grows as it is used.  A
+    breakdown means the basis spans an invariant subspace, which holds
+    one vector of each eigenspace the start touched: Lanczos goes on
     from a fixed-seed random vector orthogonal to the basis, as ARPACK
     does, so the rest of the spectrum stays reachable.  The run stops when
     that fresh vector breaks down at once (the rest of the spectrum is one
@@ -295,31 +309,68 @@ def _lanczos(blocks, m: int, v0: np.ndarray):
 def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     """Top M eigenpairs, enough to select ``n_axes`` entropy axes exactly.
 
-    One Lanczos run (:func:`_lanczos`) computes the top M = 2 * n_axes
-    eigenpairs, and goes on to 2M, 4M, ... until a certificate holds: an
+    One Lanczos run (:func:`_lanczos`) computes the top M = n_axes
+    eigenpairs, and goes on to 2M, 4M, ... until a certificate holds.  An
     axis that was not computed contributes at most max(lambda_M, 0) / N,
-    since (v'1)^2 <= N, so once the n_axes-th largest computed
-    contribution exceeds that bound (by a relative 1e-9 for solver
-    tolerance) the selection equals the dense one.  When Lanczos stops
-    first (its work budget spent, or an exhausted breakdown or overflow,
-    see :func:`_lanczos`), the result is the dense decomposition, of row
-    blocks unpacked into one N x N array.  Lanczos reads ``gram``, a
-    tuple of row blocks or an N x N array as one block, only through its
-    products with vectors.  Order and signs follow :func:`sym_eig`.
+    since (v'1)^2 <= N.  It also contributes at most the residual, the
+    entropy total 1'K1 / N^2 minus the computed contributions, because
+    the contributions of a PSD Gram are nonnegative and sum to the total.
+    Once the n_axes-th largest computed contribution exceeds the smaller
+    of the two bounds (the first with a relative margin of 1e-9, the
+    second with the slack derived below), the selection equals the dense
+    one.  The residual bound assumes a PSD Gram, one that passes
+    :func:`check_psd`; every kernel family of :mod:`invkern.kernels`
+    gives one.  When Lanczos stops first (its work budget spent, or an
+    exhausted breakdown or overflow, see :func:`_lanczos`), the result is
+    the dense decomposition, of row blocks unpacked into one N x N array.
+    Lanczos reads ``gram``, a tuple of row blocks or an N x N array as
+    one block, only through its products with vectors; the mass 1'K1 is
+    summed once and kept in the result's ``mass`` for
+    :func:`renyi_entropy`.  Order and signs follow :func:`sym_eig`.
     """
     blocks = _blocks(gram)
     n = _order(blocks)
     if not 1 <= n_axes <= n:
         raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = float(_mass(blocks))
+        # Block b's part of the diagonal is the main diagonal of its first rows.
+        trace = sum(float(np.trace(block)) for block in blocks)
+    # A mass that overflows leaves only the first bound; renyi_entropy
+    # reports it.
+    total = mass / n**2 if np.isfinite(mass) else np.inf
     # A random start, not ones(N): the Krylov space of ones cannot reach
     # eigenvectors orthogonal to it, which would void the certificate.
     v0 = np.random.default_rng(0).standard_normal(n)
-    for eig in _lanczos(blocks, 2 * n_axes, v0):
-        bound = max(eig.eigenvalues[-1], 0.0) / n
+    for eig in _lanczos(blocks, n_axes, v0):
+        m = len(eig.eigenvalues)
         contributions, order = _entropy_ranking(eig, n)
-        if contributions[order[n_axes - 1]] > bound * (1.0 + 1e-9):
-            return eig
-    return _dense_eig(_dense(blocks))
+        # The residual's slack, on a PSD Gram (|K_ij| <= (K_ii + K_jj) / 2,
+        # so sum |K_ij| <= N trace):
+        # - _mass adds each row pairwise and the rows one after another, so
+        #   its rounding is at most about N eps sum |K_ij|, and the total
+        #   1'K1 / N^2 is off by at most eps * trace;
+        # - a Ritz pair whose residual is at most r = _RITZ_TOL * |theta_1|
+        #   is off its eigenvalue by at most r, and its contribution by r / N
+        #   since (v'1)^2 <= N: M r / N for all.  The residuals also couple
+        #   the Ritz space to the rest of 1, by at most 2 sqrt(M) r / N, so
+        #   3 M r / N covers both;
+        # - a Gram that passes check_psd has no eigenvalue below
+        #   -_PSD_TOL * max(trace, 1), and the (v'1)^2 of its axes sum to N,
+        #   so its negative contributions sum to no less than that over N.
+        slack = (
+            np.finfo(float).eps * trace
+            + 3 * m * _RITZ_TOL * np.max(np.abs(eig.eigenvalues)) / n
+            + _PSD_TOL * max(trace, 1.0) / n
+        )
+        residual = total - float(np.sum(contributions)) + slack
+        bound = min(max(eig.eigenvalues[-1], 0.0) / n * (1.0 + 1e-9), residual)
+        if contributions[order[n_axes - 1]] > bound:
+            break
+    else:
+        eig = _dense_eig(_dense(blocks))
+    eig.mass = mass
+    return eig
 
 
 def renyi_entropy(gram, eig: EigenDecomposition | None = None):
@@ -331,13 +382,15 @@ def renyi_entropy(gram, eig: EigenDecomposition | None = None):
     the tests pin; over a truncated one they fall short of it.  The mass
     sums each row block's square and twice its rectangle: of one block,
     an N x N array, that is the array's own sum; of more, it can differ
-    from it in the last bits.  A mass that overflows raises
-    NumericalError.
+    from it in the last bits.  An ``eig`` that carries the mass
+    (:func:`truncated_eig`'s) gives it, so a clustering sums the Gram
+    once.  A mass that overflows raises NumericalError.
     """
     blocks = _blocks(gram)
     n = _order(blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(_mass(blocks)) / n**2
+        mass = eig.mass if eig is not None and eig.mass is not None else _mass(blocks)
+        total = float(mass) / n**2
     if not np.isfinite(total):
         raise NumericalError("the Gram's entropy mass 1'K1 overflows")
     if eig is None:

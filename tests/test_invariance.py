@@ -40,7 +40,7 @@ from invkern import (
     sample_group_element,
     transform_triples,
 )
-from invkern import invariance
+from invkern import invariance, kernels
 from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_select
 from invkern.errors import (
     FieldError, InvkernError, NumericalError, ParseError, ValidationError, ZeroVectorError,
@@ -789,8 +789,9 @@ class TestGramTiles:
             np.ones((2, 2, 2)),
             np.array([["a", "b"], ["c", "d"]]),
             np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object),
+            np.ones(2000),
         ],
-        ids=["1-d", "3-d", "strings", "objects"],
+        ids=["1-d", "3-d", "strings", "objects", "1-d-2000"],
     )
     @pytest.mark.parametrize(
         "call",
@@ -802,8 +803,16 @@ class TestGramTiles:
         ids=["kernel_matrix", "gram_blocks", "median"],
     )
     def test_a_point_array_not_2d_numeric_is_a_validation_error(self, points, call):
-        with pytest.raises(ValidationError, match="2-D numeric array"):
-            call(points)
+        # Rejected before any buffer is sized: 2000 values read as 2000 points
+        # would size a 30.5 MiB Gram or a 15.3 MiB buffer of squared distances.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="2-D numeric array"):
+                call(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("dtype", [bool, np.int32, np.float32, np.longdouble])
     def test_other_numeric_point_dtypes_are_read(self, dtype):
@@ -877,6 +886,19 @@ class TestRowChunks:
             tracemalloc.stop()
         assert peak - sum(b.nbytes for b in blocks) <= 1e6
 
+    @pytest.mark.parametrize("inv", [None, SIGN], ids=["plain", "sign"])
+    def test_rbf_tiles_build_no_tile_sized_temporary(self, inv):
+        # The norm sum sxx + syy of a 128 x 2000 tile alone would be 2 MB; the
+        # rest is proj's overhead.
+        pts = np.random.default_rng(42).standard_normal((2000, 2))
+        tracemalloc.start()
+        try:
+            blocks = gram_blocks(pts, KernelSpec(gaussian(0.1), inv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(b.nbytes for b in blocks) <= 1e6
+
     @pytest.mark.parametrize("inv", [SCALE, PROJ])
     def test_denominators_in_row_chunks_keep_bits(self, inv):
         # 70 rows of 1500 values span four denominator chunks; the last pair's
@@ -934,8 +956,8 @@ def gram_outcome(build, points, spec):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(points=extreme_points())
 def test_row_chunks_keep_every_bit_and_error(points):
-    # Denominators of one row at a time give the values, or the error type,
-    # message and pair, of one denominator per tile.  Tiles of 4 rows
+    # Denominators and RBF norm sums of one row at a time give the values,
+    # or the error type, message and pair, of one of each per tile.  Tiles of 4 rows
     # in blocks of 8 spread the points over several tiles and blocks.
     with mock.patch.object(invariance, "TILE_ROWS", 4), mock.patch.object(
         invariance, "GRAM_BLOCK_ROWS", 8
@@ -944,7 +966,7 @@ def test_row_chunks_keep_every_bit_and_error(points):
             spec = KernelSpec(base, inv)
             for build in (kernel_matrix, gram_blocks):
                 whole = gram_outcome(build, points, spec)
-                with mock.patch.object(invariance, "_NORM_PRODUCT_VALUES", 1):
+                with mock.patch.object(kernels, "_NORM_CHUNK_VALUES", 1):
                     assert whole == gram_outcome(build, points, spec), kernel_label(spec)
 
 

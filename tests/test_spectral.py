@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -329,19 +330,20 @@ def _psd_grams():
 
 
 @pytest.fixture
-def lanczos_steps(monkeypatch):
-    # Basis sizes seen by _orthogonalize, which runs once per Lanczos step.
+def gram_reads(monkeypatch):
+    # Calls of _matvec, one per Lanczos step, and of _mass, one per summed Gram.
     import invkern.spectral as spectral
 
-    sizes = []
-    original = spectral._orthogonalize
+    calls = Counter()
+    for name in ("_matvec", "_mass"):
+        original = getattr(spectral, name)
 
-    def counted(w, basis):
-        sizes.append(len(basis))
-        return original(w, basis)
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(spectral, "_orthogonalize", counted)
-    return sizes
+        monkeypatch.setattr(spectral, name, counted)
+    return calls
 
 
 class TestTruncatedEig:
@@ -389,34 +391,75 @@ class TestTruncatedEig:
             truncated_eig(np.eye(4), 0)
 
     @pytest.mark.parametrize("case", ["blobs", "identity"])
-    def test_uncertified_gram_is_dense_within_the_budget(self, case, lanczos_steps):
-        # Neither certifies: on the blobs the n_axes-th contribution stays
-        # 50 times below the bound; on the identity it equals it.
+    def test_uncertified_gram_is_dense_within_the_budget(self, case, gram_reads):
+        # Neither certifies within the budget.  On the blobs the third
+        # contribution is at most 0.67 of the residual up to M = 96 and
+        # 4e-5 of lambda_M / N; it first exceeds the residual at M = 149,
+        # and M = 192 lies past the budget.  On the identity it equals
+        # lambda_M / N at every M.
         import invkern.spectral as spectral
 
         if case == "blobs":
             points = gen_flipped_blobs(300, 256, seed=1).points
-            gram = kernel_matrix(points, KernelSpec(gaussian(22.0), SIGN))
+            gram, k = kernel_matrix(points, KernelSpec(gaussian(22.0), SIGN)), 3
         else:
-            gram = np.eye(40)
+            gram, k = np.eye(40), 2
         n = len(gram)
         dense = sym_eig(gram)
-        eig = truncated_eig(gram, 2)
+        eig = truncated_eig(gram, k)
         assert np.array_equal(eig.eigenvalues, dense.eigenvalues)
         assert np.array_equal(eig.eigenvectors, dense.eigenvectors)
         # Each step costs at least its matvec, 2 N^2 flops.
         budget = spectral._BUDGET_SHARE * spectral._EIGH_FLOPS * max(n, LANCZOS_MIN_N) ** 3
-        assert len(lanczos_steps) <= budget / (2 * n * n) + 1
+        assert gram_reads["_matvec"] <= budget / (2 * n * n) + 1
 
-    def test_doubling_m_continues_the_krylov_run(self, lanczos_steps):
-        # M = 12 settles in 21 steps without certifying; M = 24 then needs
-        # 11 more steps of the same run, not 32 from the start.
-        data, _ = gen_directions(6, 2000, seed=7)
-        gram = build_gram(data, KernelSpec(gaussian(0.3), PROJ))
-        eig = truncated_eig(gram, 6)
-        assert len(eig.eigenvalues) == 24
-        assert len(lanczos_steps) <= 32
-        assert lanczos_steps == list(range(1, len(lanczos_steps) + 1))
+    def test_doubling_m_continues_the_krylov_run(self, gram_reads):
+        # The plain gaussian(0.1) Gram of the cluster-lowdim points: M = 6,
+        # 12, 24 and 48 settle at steps 67, 88, 107 and 158 without
+        # certifying, and M = 96 at step 216 of the same run.  A run started
+        # afresh at M = 96 alone takes 219 steps, so at most 216 matvecs
+        # show that no doubling restarted the run.
+        data, _ = gen_directions(6, 3000, seed=1)
+        eig = truncated_eig(gram_blocks(data.points, KernelSpec(gaussian(0.1))), 6)
+        assert len(eig.eigenvalues) == 96
+        assert gram_reads["_matvec"] <= 216
+        # The axes of a dense solve of the same Gram.
+        assert sorted(_entropy_ranking(eig, 3000)[1][:6]) == [0, 1, 2, 9, 12, 15]
+
+    @pytest.mark.parametrize(
+        "shape, pairs, steps",
+        [("cluster-lowdim", 6, 21), ("gram-highdim", 2, 10)],
+    )
+    def test_benchmark_grams_certify_at_k_pairs(self, shape, pairs, steps, gram_reads):
+        # The residual bound settles both at M = k; the lambda_M / N bound
+        # would need M = 2k, and 31 and 77 steps.
+        if shape == "cluster-lowdim":
+            data, _ = gen_directions(6, 3000, seed=1)
+            gram = gram_blocks(data.points, KernelSpec(gaussian(0.1), PROJ))
+        else:
+            points = gen_flipped_blobs(400, 256, seed=1).points
+            gram = gram_blocks(points, KernelSpec(gaussian(10.0), SIGN))
+        eig = truncated_eig(gram, pairs)
+        assert len(eig.eigenvalues) == pairs
+        assert gram_reads["_matvec"] <= steps
+        assert gram_reads["_mass"] == 1
+
+    def test_plain_gram_certified_by_the_residual_alone(self):
+        # The plain arm of gram-highdim: at M = 2 the second contribution is
+        # 30 times the residual but below lambda_2 / N, which first falls
+        # below it at M = 609, past the budget.
+        points = gen_flipped_blobs(400, 256, seed=1).points
+        gram = kernel_matrix(points, KernelSpec(gaussian(10.0)))
+        n = len(gram)
+        eig = truncated_eig(gram, 2)
+        assert len(eig.eigenvalues) < n
+        contributions, order = _entropy_ranking(eig, n)
+        assert contributions[order[1]] <= eig.eigenvalues[-1] / n
+        embedding, axes = keca_embed(gram, 2, eig)
+        dense_embedding, dense_axes, dense_labels = _dense_pipeline(gram, 2)
+        assert axes == dense_axes
+        np.testing.assert_allclose(embedding, dense_embedding, atol=1e-8)
+        assert np.array_equal(cluster_gram(gram, 2, seed=0).labels, dense_labels)
 
     def test_repeated_top_eigenvalue_selects_the_dense_axes(self):
         # Three equal blocks: the top eigenvalue 600 + 1e-3 has multiplicity
@@ -524,9 +567,10 @@ class TestGramBlocks:
         assert np.array_equal(result.labels, _dense_pipeline(gram, k)[2])
 
     def test_uncertified_blocks_fall_back_to_the_dense_solve(self):
+        # The Gram of test_uncertified_gram_is_dense_within_the_budget[blobs].
         points = gen_flipped_blobs(300, 256, seed=1).points
         spec = KernelSpec(gaussian(22.0), SIGN)
-        eig = truncated_eig(gram_blocks(points, spec), 2)
+        eig = truncated_eig(gram_blocks(points, spec), 3)
         dense = sym_eig(kernel_matrix(points, spec))
         assert np.array_equal(eig.eigenvalues, dense.eigenvalues)
         assert np.array_equal(eig.eigenvectors, dense.eigenvectors)
@@ -847,6 +891,23 @@ class TestOneOwnerPerQuantity:
         pts = np.random.default_rng(47).standard_normal((30, 2))
         cluster_gram(build_gram(pts, KernelSpec(gaussian(1.0), SIGN)), 2)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("path", ["dense", "truncated", "fallback"])
+    def test_cluster_gram_sums_the_mass_once(self, path, gram_reads):
+        # The truncated solver's certificate and the entropy total share one
+        # mass, also when the solver falls back to the dense solve.
+        if path == "dense":
+            gram, k = build_gram(np.random.default_rng(47).standard_normal((30, 2)),
+                                 KernelSpec(gaussian(1.0), SIGN)), 2
+        elif path == "truncated":
+            data, _ = gen_directions(6, LANCZOS_MIN_N + 100, seed=3)
+            gram, k = gram_blocks(data.points, KernelSpec(gaussian(0.1), PROJ)), 6
+        else:
+            points = gen_flipped_blobs(300, 256, seed=1).points
+            gram, k = gram_blocks(points, KernelSpec(gaussian(22.0), SIGN)), 3
+        result = cluster_gram(gram, k, seed=0)
+        assert gram_reads["_mass"] == 1
+        assert result.entropy_total == _mass(_blocks(gram)) / len(result.labels) ** 2
 
     def test_truncated_fallback_does_not_enter_sym_eig(self, monkeypatch):
         import invkern.spectral as spectral
