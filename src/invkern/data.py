@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -21,6 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateClusterError, FormatError, ParseError, ValidationError
+
+# Labels must fit the int64 label array.
+_LABEL_LIMIT = 2**63
 
 
 @dataclass
@@ -32,16 +36,59 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points)
-        if self.points.ndim != 2 or self.points.dtype.kind not in "biufc":
-            raise ValidationError("points must be a 2-D numeric array (one row per point)")
+        self.points = points_of(self.points)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
-            if len(self.labels) != len(self.points):
-                raise ValidationError("labels length must match point count")
+            self.labels = labels_of(self.labels, len(self.points))
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def points_of(data, min_rows: int = 0, too_few: str | None = None, real: bool = False):
+    """The points of a Dataset, or a 2-D bool, int, float or complex array.
+
+    Anything else, or fewer than ``min_rows`` rows (message ``too_few`` if
+    given), raises ValidationError.  With ``real``, complex is refused too
+    and the points come back as float64.
+    """
+    try:
+        points = np.asarray(data.points if isinstance(data, Dataset) else data)
+    except ValueError:  # a ragged nesting of sequences
+        points = np.empty(0, object)
+    if points.ndim != 2 or points.dtype.kind not in ("biuf" if real else "biufc"):
+        of_real = " of real values" if real else ""
+        raise ValidationError(f"points must be a 2-D numeric array{of_real} (one row per point)")
+    if len(points) < min_rows:
+        raise ValidationError(too_few or f"need at least {min_rows} point(s), got {len(points)}")
+    return points.astype(float, copy=False) if real else points
+
+
+def labels_of(labels, n: int) -> np.ndarray:
+    """``n`` nonnegative integers below 2**63 (int or integral float) as int64.
+
+    The rule of :func:`load_csv`'s label column; anything else, bools
+    included, raises ValidationError.
+    """
+    values = np.asarray(labels)
+    if not (
+        values.shape == (n,) and values.dtype.kind in "iuf"
+        and np.all(values >= 0) and np.all(values < _LABEL_LIMIT)
+        and (values.dtype.kind != "f" or np.array_equal(values, np.trunc(values)))
+    ):
+        raise ValidationError(f"labels must be {n} nonnegative integers below 2**63")
+    return values.astype(np.int64, copy=False)
+
+
+def count_of(value, name: str, low: int | None, high: int | None = None) -> int:
+    """An integer that is not a bool, in [low, high] (None: unbounded), as an int."""
+    # bool is an int subclass, but a flag is not a count.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def gen_xor(n_per_arm: int, spread: float, seed: int = 0) -> Dataset:
@@ -51,8 +98,7 @@ def gen_xor(n_per_arm: int, spread: float, seed: int = 0) -> Dataset:
     the opposite-sign corners, so negating any point moves it within its
     own class; only a sign-blind method can recover the labels.
     """
-    if n_per_arm < 1:
-        raise ValidationError("n_per_arm must be at least 1")
+    n_per_arm = count_of(n_per_arm, "n_per_arm", 1)
     if not spread > 0:
         raise ValidationError("spread must be positive")
     rng = np.random.default_rng(seed)
@@ -79,8 +125,8 @@ def gen_flipped_blobs(
     with probability ``flip_prob``.  Labels record the blob, never the
     flip, so flips are pure nuisance.
     """
-    if dim < 2:
-        raise ValidationError("dim must be at least 2")
+    n_per_class = count_of(n_per_class, "n_per_class", 1)
+    dim = count_of(dim, "dim", 2)
     if not separation > 0:
         raise ValidationError("separation must be positive")
     if not 0.0 <= flip_prob <= 1.0:
@@ -122,10 +168,8 @@ def gen_directions(
     unit directions, 10 degrees plus multiples of 180/k degrees,
     sign-canonical (first nonzero coordinate positive).
     """
-    if k < 2:
-        raise ValidationError("k must be at least 2")
-    if n_points < k:
-        raise ValidationError("n_points must be at least k")
+    k = count_of(k, "k", 2)
+    n_points = count_of(n_points, "n_points", k)
     angle_offset_deg, mu, s = 10.0, 0.0, 0.75
     rng = np.random.default_rng(seed)
     angles = np.radians(angle_offset_deg + 180.0 * np.arange(k) / k)
@@ -151,7 +195,7 @@ def gen_directions(
 
 def canonical_direction(v) -> np.ndarray:
     """Unit vector with its first nonzero coordinate positive."""
-    v = np.asarray(v, dtype=float)
+    v = points_of([v], real=True)[0]
     # An overflowing norm is reported below, not warned.
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(v)
@@ -183,10 +227,6 @@ def parse_cell(text: str, source, line, column) -> float:
             f"{source}: non-finite cell {text!r} at {where}", line=line, column=column
         )
     return value
-
-
-# Labels must fit the int64 label array.
-_LABEL_LIMIT = 2**63
 
 
 def load_csv(path, has_labels: bool = False) -> Dataset:
@@ -225,16 +265,14 @@ def _load_with_numpy(path, has_labels: bool) -> Dataset | None:
         return None
     labels = None
     if has_labels:
-        labels = values[:, -1]
-        if values.shape[1] < 2 or not (
-            np.all(labels >= 0) and np.all(labels < _LABEL_LIMIT)
-            and np.array_equal(labels, np.trunc(labels))
-        ):
+        if values.shape[1] < 2:
             return None
         # A column slice is strided; Gram bits must not depend on the layout.
-        values = np.ascontiguousarray(values[:, :-1])
-        labels = labels.astype(np.int64)
-    return Dataset(values, labels, _csv_meta(path))
+        values, labels = np.ascontiguousarray(values[:, :-1]), values[:, -1]
+    try:
+        return Dataset(values, labels, _csv_meta(path))
+    except ValidationError:
+        return None  # labels_of refused a label; the cell loop names its line
 
 
 def _load_cells(path, has_labels: bool) -> Dataset:
@@ -310,15 +348,17 @@ def _is_number(text: str) -> bool:
 def save_dataset(data: Dataset, path) -> None:
     """Write points (+ label column) as CSV with a .meta.json sidecar.
 
-    Floats are written with repr so a reload reproduces them exactly.
+    Floats are written with repr so a reload reproduces them exactly; no
+    cell needs quoting, and rows end in CRLF, as csv.writer writes them.
+    Rows are formatted one at a time, so no whole-array list is held.
     """
     if np.iscomplexobj(data.points):
         raise ValidationError("CSV export supports real-valued datasets only")
-    rows = (map(repr, row.tolist()) for row in data.points.astype(float, copy=False))
+    rows = (",".join(map(repr, row.tolist())) for row in data.points.astype(float, copy=False))
     if data.labels is not None:
-        rows = ([*cells, str(label)] for cells, label in zip(rows, data.labels.tolist()))
+        rows = (f"{row},{label}" for row, label in zip(rows, data.labels.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerows(rows)
+        handle.writelines(row + "\r\n" for row in rows)
     sidecar = os.path.splitext(str(path))[0] + ".meta.json"
     with open(sidecar, "w", encoding="utf-8") as handle:
         json.dump(data.meta, handle, sort_keys=True, indent=2)
@@ -331,8 +371,7 @@ def top_norm_select(data: Dataset, count: int) -> Dataset:
     The surviving points keep their original relative order.
     """
     n = len(data)
-    if not 0 <= count <= n:
-        raise ValidationError(f"count must be in [0, {n}], got {count}")
+    count = count_of(count, "count", 0, n)
     norms = np.linalg.norm(data.points, axis=1)
     ranked = np.lexsort((np.arange(n), -norms))
     chosen = np.sort(ranked[:count])
@@ -390,8 +429,7 @@ class MixingEstimate:
 
 def angle_between_lines_deg(u, v) -> float:
     """Angle between the lines spanned by u and v, in [0, 90] degrees."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = points_of([u, v], real=True)
     cos = abs(float(u @ v)) / (np.linalg.norm(u) * np.linalg.norm(v))
     return math.degrees(math.acos(min(cos, 1.0)))
 
@@ -405,24 +443,24 @@ def estimate_mixing(data, labels, true_directions=None) -> MixingEstimate:
     ``true_directions`` given, angle errors (mod 180) are reported under
     the best cluster-to-truth matching.
     """
-    points = np.asarray(getattr(data, "points", data), dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
+    points = points_of(data, 1, real=True)
+    if points.shape[1] != 2:
         raise ValidationError("mixing estimation expects real 2-D data")
-    labels = np.asarray(labels, dtype=int)
-    k = int(labels.max()) + 1
+    labels = labels_of(labels, len(points))
+    # A label of N or more leaves a cluster below it empty, so it sizes nothing.
+    counts = np.bincount(np.minimum(labels, len(points)))
+    k = len(counts)
     directions = np.zeros((k, 2))
-    counts = np.zeros(k, dtype=int)
     for c in range(k):
-        members = points[labels == c]
-        counts[c] = len(members)
         if counts[c] < 2:
             raise DegenerateClusterError(f"cluster {c} has {counts[c]} point(s)")
+        members = points[labels == c]
         scatter = members.T @ members
         _, vectors = np.linalg.eigh(scatter)
         directions[c] = canonical_direction(vectors[:, -1])
     errors = None
     if true_directions is not None:
-        truth = np.asarray(true_directions, dtype=float)
+        truth = points_of(true_directions, real=True)
         if len(truth) != k:
             raise ValidationError("ground truth must provide one direction per cluster")
         angles = np.array(

@@ -22,6 +22,7 @@ from itertools import groupby
 
 import numpy as np
 
+from .data import count_of, labels_of, points_of
 from .errors import ValidationError
 
 PALETTE = (
@@ -53,31 +54,24 @@ def _fmt(value: float) -> str:
 
 def scatter_svg(points, labels=None) -> str:
     """SVG scatter of 2-D points, one circle per point, colored by label."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
+    pts = points_of(points, 1, real=True)
+    if pts.shape[1] != 2:
         raise ValidationError("scatter_svg expects 2-D points")
+    codes = [0] * len(pts) if labels is None else labels_of(labels, len(pts)).tolist()
     lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-12)
+    span = np.maximum(pts.max(axis=0) - lo, 1e-12)
     size, margin = _SCATTER_SIZE, _SCATTER_MARGIN
-    inner = size - 2 * margin
-
-    def to_px(p):
-        x = margin + (p[0] - lo[0]) / span[0] * inner
-        y = size - margin - (p[1] - lo[1]) / span[1] * inner
-        return x, y
-
+    scaled = (pts - lo) / span * (size - 2 * margin)
+    xs, ys = (margin + scaled[:, 0]).tolist(), (size - margin - scaled[:, 1]).tolist()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    for i, p in enumerate(pts):
-        color = PALETTE[int(labels[i]) % len(PALETTE)] if labels is not None else PALETTE[0]
-        x, y = to_px(p)
+    for x, y, code in zip(xs, ys, codes):
         parts.append(
             f'<circle class="pt" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_POINT_RADIUS}" '
-            f'fill="{color}" fill-opacity="0.8"/>'
+            f'fill="{PALETTE[code % len(PALETTE)]}" fill-opacity="0.8"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -92,13 +86,13 @@ def heatmap_svg(matrix, file, size: int = 480, order=None) -> None:
     wider than the largest float is coloured at half scale.  ``order``, a permutation
     of the rows of a square matrix, draws ``matrix[np.ix_(order, order)]``
     without building it: each chunk gathers its own rows.  Raises
-    ValidationError for an empty matrix, a non-finite entry or an
-    ``order`` that is no such permutation, before the first byte is
+    ValidationError for a matrix that :func:`invkern.data.points_of` does
+    not read as real, an empty matrix, a non-finite entry, a ``size`` below
+    1 or an ``order`` that is no such permutation, before the first byte is
     written.
     """
-    values = np.asarray(matrix, dtype=float)
-    if values.ndim != 2:
-        raise ValidationError("heatmap_svg expects a 2-D matrix")
+    values = points_of(matrix, real=True)
+    size = count_of(size, "size", 1)
     if values.size == 0:
         raise ValidationError(f"heatmap_svg expects a non-empty matrix, got shape {values.shape}")
     n_rows, n_cols = values.shape

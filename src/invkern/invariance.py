@@ -12,11 +12,11 @@ without ever materializing the quotient features.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import count_of, points_of
 from .errors import (
     DimensionError,
     FieldError,
@@ -82,11 +82,8 @@ class Invariance:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown invariance kind {self.kind!r}")
-        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
-            raise ValidationError(f"rotation order m must be an integer, got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
-        if self.kind == "rotation" and self.m < 2:
-            raise ValidationError("rotation order m must be at least 2")
+        low = 2 if self.kind == "rotation" else None
+        object.__setattr__(self, "m", count_of(self.m, "rotation order m", low))
         if self.kind != "rotation" and self.m != 0:
             raise ValidationError(f"{self.kind} invariance takes no rotation order m={self.m}")
         if self.kind != "chain" and self.parts:
@@ -290,19 +287,15 @@ def _squared_modulus(sxy, out=None):
     return np.real(product)
 
 
-def _check_field(spec: Invariance | None, complex_data: bool) -> None:
-    # Root-of-unity actions with m >= 3 move real vectors out of R^n.
-    if not complex_data and any(p.kind == "rotation" and p.m >= 3 for p in _stages(spec)):
-        raise FieldError("rotation invariance with m >= 3 requires complex data")
-
-
 def _triple_field(points, spec: Invariance | None, ids):
     # The points, promoted to at least float64, and their adjoint, for a point
     # array or a stack of point sets; ids, shaped like points without its last
     # axis, name points in errors.
-    points = np.asarray(points)
     points = points.astype(np.promote_types(points.dtype, np.float64), copy=False)
-    _check_field(spec, np.iscomplexobj(points))
+    # Root-of-unity actions with m >= 3 move real vectors out of R^n.
+    rotations = (p.m for p in _stages(spec) if p.kind == "rotation")
+    if not np.iscomplexobj(points) and max(rotations, default=0) >= 3:
+        raise FieldError("rotation invariance with m >= 3 requires complex data")
     if any(p.kind in ("scale", "proj") for p in _stages(spec)):
         # A sum of |x|^2 has no negative terms, so it is zero exactly where the
         # diagonal of a product is: the lowest zero-norm point is named here.
@@ -335,16 +328,8 @@ def _rewrite(spec: Invariance | None, sxx, sxy, syy, rows, cols, out=None):
     return triple
 
 
-def _point_array(points) -> np.ndarray:
-    # The points as an array, checked before anything is sized from their count.
-    points = np.asarray(points)
-    if points.ndim != 2 or points.dtype.kind not in "biufc":
-        raise ValidationError("points must be a 2-D numeric array (one row per point)")
-    return points
-
-
 def triple_tiles(points, spec: Invariance | None, blocks=None):
-    """Row tiles of the upper triangle of a 2-D point array's triple field.
+    """Row tiles of the upper triangle of a point set's triple field.
 
     Entry (i, j) is (<x_i,x_i>, <x_i,x_j>, <x_j,x_j>).  Each tile forms its
     own product X[rows] @ X[start:]^H, so no N x N temporary is built, and
@@ -365,10 +350,9 @@ def triple_tiles(points, spec: Invariance | None, blocks=None):
     :func:`_gram_tile`, and the next tile is built only when the caller
     asks for it.  A product of another dtype than the Gram's, such as a
     complex one, goes to one reused buffer of a real tile's bytes instead,
-    so its tiles have fewer rows.  A point array that is not 2-D numeric
-    raises ValidationError.
+    so its tiles have fewer rows.  :func:`invkern.data.points_of` reads ``points``.
     """
-    points = _point_array(points)
+    points = points_of(points)
     n = len(points)
     ids = np.arange(n)
     points, adjoint = _triple_field(points, spec, ids)
@@ -414,8 +398,8 @@ def _tile_triple(spec: Invariance | None, points, adjoint, ids, norms, start, st
 def _pair_triples(spec: Invariance | None, xs, ys, rows, cols):
     # Rewritten triples of the pairs (xs[k], ys[k]), named rows[k] and cols[k] in
     # errors: entry (0, 1) of the field of each [xs[k]; ys[k]], as length-n arrays.
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] < 1:
+    xs, ys = points_of(xs), points_of(ys)
+    if xs.shape != ys.shape or xs.shape[1] < 1:
         raise DimensionError(f"incompatible shapes {xs.shape[1:]} and {ys.shape[1:]}")
     ids = np.stack([rows, cols], axis=1)
     points, adjoint = _triple_field(np.stack([xs, ys], axis=1), spec, ids)
@@ -467,7 +451,7 @@ def _gram_blocks(points, spec: KernelSpec, height: int | None) -> tuple:
     # describes them.  Each tile, from the last one up, is built in its block's
     # own memory by triple_tiles, turned into checked base-kernel values in place,
     # copied to its rows and mirrored into the finished rows of its block below it.
-    points = _point_array(points)
+    points = points_of(points)
     n = len(points)
     height = height or max(n, 1)
     blocks = tuple(np.empty((min(b + height, n) - b, n - b)) for b in range(0, max(n, 1), height))
@@ -484,7 +468,7 @@ def _gram_blocks(points, spec: KernelSpec, height: int | None) -> tuple:
 
 
 def kernel_matrix(points, spec: KernelSpec) -> np.ndarray:
-    """Kernel values of every pair of rows of a 2-D point array.
+    """Kernel values of every pair of points of a Dataset or a 2-D point array.
 
     Entry (i, j) agrees with eval_kernel(spec, x_i, x_j) up to rounding:
     both take the norms from the diagonal of the product that gives <x,y>,
@@ -571,11 +555,8 @@ def check_invariance(
     rows of ``samples``; a kernel value that overflows raises
     NumericalError.
     """
-    points = np.asarray(getattr(samples, "points", samples))
-    if len(points) == 0:
-        raise ValidationError("samples must be non-empty")
-    if n_group_samples < 1:
-        raise ValidationError("n_group_samples must be at least 1")
+    points = points_of(samples, 1, "samples must be non-empty")
+    n_group_samples = count_of(n_group_samples, "n_group_samples", 1)
     if group is None:
         group = spec.invariance
     if group is None:
@@ -613,10 +594,8 @@ def median_heuristic_sigma(points, invariance: Invariance | None = None) -> floa
     partitioning it; sqrt is monotone and correctly rounded, so this equals
     the median of the distances themselves bit for bit.
     """
-    pts = _point_array(getattr(points, "points", points))
+    pts = points_of(points, 2, "median heuristic needs at least two points")
     n = len(pts)
-    if n < 2:
-        raise ValidationError("median heuristic needs at least two points")
     squared = np.empty(n * (n - 1) // 2)
     filled = 0
     for _, _, triple in triple_tiles(pts, invariance):

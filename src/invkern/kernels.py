@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import count_of
 from .errors import NegativeDistanceError, ValidationError
 
 # Each kernel family and the one parameter it reads, if any.
@@ -52,18 +53,17 @@ class BaseKernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown kernel family {self.family!r}")
-        # bool is an int subclass, but a flag is neither a bandwidth nor an exponent.
+        reads = FAMILIES[self.family]
+        # bool is an int subclass, but a flag is not a bandwidth.
         if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
             raise ValidationError(f"sigma must be a real number, got {self.sigma!r}")
-        if isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral):
-            raise ValidationError(f"degree must be an integer, got {self.degree!r}")
         # Kept as Python scalars, so a numpy scalar computes in float64.
+        degree = count_of(self.degree, "degree", 1 if reads == "degree" else None)
+        object.__setattr__(self, "degree", degree)
         try:
             object.__setattr__(self, "sigma", float(self.sigma))
         except OverflowError:
             raise ValidationError(f"sigma {self.sigma} is beyond the float range") from None
-        object.__setattr__(self, "degree", int(self.degree))
-        reads = FAMILIES[self.family]
         # 2 sigma^2 by products: sigma**2 raises OverflowError on a large float.
         if reads == "sigma" and not (
             self.sigma > 0 and 0.0 < 2.0 * self.sigma * self.sigma < np.inf
@@ -71,8 +71,6 @@ class BaseKernel:
             raise ValidationError(
                 f"sigma must be positive with 2 sigma^2 in (0, inf), got {self.sigma}"
             )
-        if reads == "degree" and self.degree < 1:
-            raise ValidationError(f"degree must be at least 1, got {self.degree}")
 
 
 def linear() -> BaseKernel:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import best_matching
+from .data import best_matching, count_of, labels_of, points_of
 from .errors import DegenerateEmbeddingError, NumericalError, ValidationError
 from .invariance import KernelSpec, gram_blocks, kernel_matrix
 
@@ -67,17 +67,12 @@ class ClusteringResult:
     entropy_total: float
 
 
-def _gram_points(data) -> np.ndarray:
-    # The points of a dataset or point array, at least two of them.
-    points = np.asarray(getattr(data, "points", data))
-    if len(points) < 2:
-        raise ValidationError("need at least two points to build a Gram matrix")
-    return points
+_TOO_FEW = "need at least two points to build a Gram matrix"
 
 
 def build_gram(data, spec: KernelSpec) -> np.ndarray:
     """:func:`invkern.invariance.kernel_matrix` of a dataset or point array."""
-    return kernel_matrix(_gram_points(data), spec)
+    return kernel_matrix(points_of(data, 2, _TOO_FEW), spec)
 
 
 def _blocks(gram) -> tuple:
@@ -201,10 +196,12 @@ def sym_eig(gram, n_axes: int | None = None) -> EigenDecomposition:
     when Lanczos spends its budget first.  The sign convention makes the
     largest-magnitude component of each eigenvector positive, so outputs
     are reproducible across runs.  An eigenvalue that overflows raises
-    NumericalError.
+    NumericalError; an ``n_axes`` outside [1, N] raises ValidationError.
     """
     blocks = _blocks(gram)
-    if n_axes is not None and _order(blocks) >= LANCZOS_MIN_N:
+    n = _order(blocks)
+    # count_of returns at least 1 here, so the test reads "given, valid, N large".
+    if n_axes is not None and count_of(n_axes, "n_axes", 1, n) and n >= LANCZOS_MIN_N:
         return truncated_eig(blocks, n_axes)
     return _dense_eig(_dense(blocks))
 
@@ -330,8 +327,7 @@ def truncated_eig(gram, n_axes: int) -> EigenDecomposition:
     """
     blocks = _blocks(gram)
     n = _order(blocks)
-    if not 1 <= n_axes <= n:
-        raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
+    n_axes = count_of(n_axes, "n_axes", 1, n)
     with np.errstate(over="ignore", invalid="ignore"):
         mass = float(_mass(blocks))
         # Block b's part of the diagonal is the main diagonal of its first rows.
@@ -409,8 +405,7 @@ def keca_embed(gram, n_axes: int, eig: EigenDecomposition | None = None):
     """
     blocks = _blocks(gram)
     n = _order(blocks)
-    if not 1 <= n_axes <= n:
-        raise ValidationError(f"n_axes must be in [1, {n}], got {n_axes}")
+    n_axes = count_of(n_axes, "n_axes", 1, n)
     if eig is None:
         eig = sym_eig(blocks)
     contributions, order = _entropy_ranking(eig, n)
@@ -496,11 +491,8 @@ def kmeans(points, k: int, seed: int = 0):
     than one member.  Best inertia over ten restarts wins, ties going to
     the earliest restart, so a fixed seed fixes the labels.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if not 1 <= k <= len(pts):
-        raise ValidationError(f"k must be in [1, {len(pts)}], got {k}")
+    pts = points_of(points, real=True)
+    k = count_of(k, "k", 1, len(pts))
     if not np.isfinite(pts).all():
         raise ValidationError("k-means points must be finite")
     rng = np.random.default_rng(seed)
@@ -545,15 +537,13 @@ def spectral_cluster(data, spec: KernelSpec, k: int, seed: int = 0) -> Clusterin
     -> entropy decomposition -> embedding on the top k axes -> angular
     k-means.
     """
-    return cluster_gram(gram_blocks(_gram_points(data), spec), k, seed=seed)
+    return cluster_gram(gram_blocks(points_of(data, 2, _TOO_FEW), spec), k, seed=seed)
 
 
 def clustering_accuracy(labels, truth) -> float:
-    """Best label-permutation agreement rate in [0, 1]."""
-    labels = np.asarray(labels).ravel()
-    truth = np.asarray(truth).ravel()
-    if labels.shape != truth.shape:
-        raise ValidationError("labels and truth must have the same length")
+    """Best label-permutation agreement rate in [0, 1] of two label arrays of one length."""
+    labels = labels_of(labels, np.size(labels))  # any length, but 1-D
+    truth = labels_of(truth, len(labels))
     if not len(labels):
         raise ValidationError("labels must be non-empty")
     classes, codes = np.unique(np.concatenate([labels, truth]), return_inverse=True)

@@ -1,5 +1,6 @@
 """Generator, CSV, and mixing-estimation tests."""
 
+import io
 import tempfile
 from itertools import permutations
 from pathlib import Path
@@ -16,6 +17,8 @@ from invkern import (
     KernelSpec,
     angle_between_lines_deg,
     canonical_direction,
+    check_invariance,
+    cluster_gram,
     estimate_mixing,
     eval_kernel,
     gaussian,
@@ -23,12 +26,17 @@ from invkern import (
     gen_flipped_blobs,
     gen_xor,
     invariant_inner,
+    keca_embed,
+    kernel_matrix,
+    kmeans,
     load_csv,
     save_dataset,
     top_norm_select,
+    truncated_eig,
 )
-from invkern.data import _load_cells, best_matching
+from invkern.data import _load_cells, best_matching, count_of, labels_of, points_of
 from invkern.errors import DegenerateClusterError, FormatError, ParseError, ValidationError
+from invkern.figures import heatmap_svg, scatter_svg
 
 
 @pytest.mark.parametrize(
@@ -39,6 +47,115 @@ from invkern.errors import DegenerateClusterError, FormatError, ParseError, Vali
 def test_dataset_points_must_be_a_2d_numeric_array(points):
     with pytest.raises(ValidationError, match="2-D numeric array"):
         Dataset(points)
+
+
+_P = np.random.default_rng(80).standard_normal((20, 3))
+_S = np.array([["a", "b"], ["c", "d"]])
+_SPEC = KernelSpec(gaussian(1.0), SIGN)
+_G = kernel_matrix(_P, _SPEC)
+
+# Malformed calls of public functions, each once a numpy or Python exception,
+# a silently accepted input, or a package error with a misleading message.
+MALFORMED_CALLS = {
+    "check_invariance-strings": lambda: check_invariance(_SPEC, _S),
+    "check_invariance-objects": lambda: check_invariance(_SPEC, _P.astype(object)),
+    "eval_kernel-strings": lambda: eval_kernel(_SPEC, ["a", "b"], ["c", "d"]),
+    "eval_kernel-matrices": lambda: eval_kernel(_SPEC, np.ones((2, 2)), np.ones((2, 2))),
+    "kmeans-strings": lambda: kmeans(_S, 1),
+    "estimate_mixing-strings": lambda: estimate_mixing(_S, [0, 0]),
+    "scatter_svg-strings": lambda: scatter_svg(_S),
+    "Dataset-string-labels": lambda: Dataset(_P[:2], ["a", "b"]),
+    "Dataset-fractional-labels": lambda: Dataset(_P[:2], [0.5, 1.7]),
+    "Dataset-2d-labels": lambda: Dataset(_P[:2], [[0, 1], [1, 0]]),
+    "estimate_mixing-negative-label": lambda: estimate_mixing(
+        _P[:6, :2], [-1, -1, -1, 0, 0, 0]
+    ),
+    "scatter_svg-short-labels": lambda: scatter_svg(np.ones((3, 2)), [0]),
+    "kmeans-float-k": lambda: kmeans(_P, 2.5),
+    "keca_embed-float-axes": lambda: keca_embed(_G, 2.5),
+    "truncated_eig-float-axes": lambda: truncated_eig(_G, 2.5),
+    "cluster_gram-float-k": lambda: cluster_gram(_G, 2.0),
+    "top_norm_select-float-count": lambda: top_norm_select(Dataset(_P), 2.5),
+    "check_invariance-float-samples": lambda: check_invariance(_SPEC, _P, n_group_samples=2.5),
+    "kmeans-bool-k": lambda: kmeans(_P, True),
+    "gen_xor-float-count": lambda: gen_xor(2.5, 0.1),
+    "gen_directions-float-k": lambda: gen_directions(2.5, 10),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_CALLS.values(), ids=MALFORMED_CALLS.keys())
+def test_malformed_inputs_are_validation_errors(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: canonical_direction(["a", "b"]),
+        lambda: canonical_direction(np.eye(2)),
+        lambda: angle_between_lines_deg(["a", "b"], [1.0, 0.0]),
+        lambda: angle_between_lines_deg([1.0, 0.0], [1.0, 0.0, 0.0]),
+        lambda: heatmap_svg(_S, io.BytesIO()),
+        lambda: heatmap_svg(_G * 1j, io.BytesIO()),
+    ],
+    ids=["canonical-strings", "canonical-matrix", "angle-strings", "angle-lengths",
+         "heatmap-strings", "heatmap-complex"],
+)
+def test_vectors_and_matrices_are_read_by_the_point_rule(call):
+    with pytest.raises(ValidationError, match="2-D numeric array"):
+        call()
+
+
+@pytest.mark.parametrize("size", [0, 2.5, "480", True])
+def test_heatmap_size_is_a_count(size):
+    with pytest.raises(ValidationError, match="size must be"):
+        heatmap_svg(np.eye(2), io.BytesIO(), size=size)
+
+
+class TestReaders:
+    def test_points_of_reads_a_dataset_and_checks_its_rows(self):
+        data = Dataset(_P)
+        assert points_of(data) is data.points
+        assert points_of(data, real=True).dtype == np.float64
+        assert points_of(np.zeros((0, 3))).shape == (0, 3)
+        with pytest.raises(ValidationError, match="^too few$"):
+            points_of(data, 21, "too few")
+        with pytest.raises(ValidationError, match="2-D numeric array"):
+            points_of([[1.0, 2.0], [3.0]])  # ragged
+        with pytest.raises(ValidationError, match="of real values"):
+            points_of(_P * 1j, real=True)
+
+    def test_labels_of_applies_the_csv_label_rule(self):
+        for labels in ([0.0, 3.0], [0, 3], np.array([0, 3], np.uint64)):
+            read = labels_of(labels, 2)
+            assert read.dtype == np.int64 and read.tolist() == [0, int(labels[1])]
+        assert labels_of([2**63 - 1], 1).tolist() == [2**63 - 1]
+        bad = ([0, -1], [0, 2**63], [0, np.nan], [0, 1.5], [0], [[0, 1]], ["0", "1"], [False, True])
+        for labels in bad:
+            with pytest.raises(ValidationError, match="2 nonnegative integers below 2"):
+                labels_of(labels, 2)
+
+    def test_count_of_reads_integers_that_are_not_bools(self):
+        assert count_of(np.int64(3), "k", 1, 3) == 3
+        assert type(count_of(np.int64(3), "k", 1)) is int
+        assert count_of(-5, "degree", None) == -5
+        with pytest.raises(ValidationError, match=r"^k must be in \[1, 3\], got 4$"):
+            count_of(4, "k", 1, 3)
+        with pytest.raises(ValidationError, match="^k must be at least 2, got 1$"):
+            count_of(1, "k", 2)
+        for value in (2.0, True, np.bool_(True), "2", None):
+            with pytest.raises(ValidationError, match="k must be an integer"):
+                count_of(value, "k", 1)
+
+    def test_integral_float_labels_become_integers(self):
+        data = Dataset(_P[:3], [1.0, 0.0, 1.0])
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [1, 0, 1]
+
+    def test_mixing_labels_beyond_the_point_count_size_nothing(self):
+        # Cluster 1 is empty; the label 2**62 must not size a 2**62-row array.
+        with pytest.raises(DegenerateClusterError, match="cluster 1 has 0 point"):
+            estimate_mixing(_P[:4, :2], [0, 0, 2**62, 2**62])
 
 
 class TestGenXor:

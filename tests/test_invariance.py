@@ -1,5 +1,6 @@
 """Invariance, invariant inner kernels, and combined-kernel tests."""
 
+import io
 import itertools
 import re
 import tracemalloc
@@ -41,11 +42,15 @@ from invkern import (
     transform_triples,
 )
 from invkern import invariance, kernels
-from invkern.data import gen_directions, gen_flipped_blobs, gen_xor, top_norm_select
+from invkern.data import (
+    Dataset, estimate_mixing, gen_directions, gen_flipped_blobs, gen_xor, top_norm_select,
+)
 from invkern.errors import (
     FieldError, InvkernError, NumericalError, ParseError, ValidationError, ZeroVectorError,
 )
+from invkern.figures import heatmap_svg, scatter_svg
 from invkern.invariance import GRAM_BLOCK_ROWS, _gram_tile, triple_tiles
+from invkern.spectral import build_gram, kmeans, spectral_cluster
 from invkern.kernels import base_values, squared_distance
 from oracles import OracleSizeError, frobenius_inner, median_distance, quotient_map_oracle
 
@@ -799,8 +804,21 @@ class TestGramTiles:
             lambda p: kernel_matrix(p, KernelSpec(gaussian(1.0))),
             lambda p: gram_blocks(p, KernelSpec(gaussian(1.0), SIGN)),
             lambda p: median_heuristic_sigma(p),
+            lambda p: list(triple_tiles(p, SIGN)),
+            lambda p: check_invariance(KernelSpec(gaussian(1.0), SIGN), p),
+            lambda p: build_gram(p, KernelSpec(gaussian(1.0))),
+            lambda p: spectral_cluster(p, KernelSpec(gaussian(1.0)), 2),
+            lambda p: Dataset(p),
+            lambda p: kmeans(p, 1),
+            lambda p: estimate_mixing(p, [0, 0]),
+            lambda p: scatter_svg(p),
+            lambda p: heatmap_svg(p, io.BytesIO()),
         ],
-        ids=["kernel_matrix", "gram_blocks", "median"],
+        ids=[
+            "kernel_matrix", "gram_blocks", "median", "triple_tiles", "check_invariance",
+            "build_gram", "spectral_cluster", "Dataset", "kmeans", "estimate_mixing",
+            "scatter_svg", "heatmap_svg",
+        ],
     )
     def test_a_point_array_not_2d_numeric_is_a_validation_error(self, points, call):
         # Rejected before any buffer is sized: 2000 values read as 2000 points
@@ -813,6 +831,17 @@ class TestGramTiles:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_a_dataset_is_read_as_its_points(self):
+        data = gen_xor(10, 0.15, seed=5)
+        spec = KernelSpec(gaussian(1.0), SIGN)
+        assert np.array_equal(kernel_matrix(data, spec), kernel_matrix(data.points, spec))
+        pairs = zip(gram_blocks(data, spec), gram_blocks(data.points, spec))
+        assert all(np.array_equal(a, b) for a, b in pairs)
+        tiles = [(start, stop) for start, stop, _ in triple_tiles(data, SIGN)]
+        assert tiles == [(start, stop) for start, stop, _ in triple_tiles(data.points, SIGN)]
+        # A dataset of no points is still a point set: its Gram is 0 x 0.
+        assert kernel_matrix(Dataset(np.zeros((0, 3))), spec).shape == (0, 0)
 
     @pytest.mark.parametrize("dtype", [bool, np.int32, np.float32, np.longdouble])
     def test_other_numeric_point_dtypes_are_read(self, dtype):

@@ -32,10 +32,10 @@ def test_no_module_imports_private_names_of_a_sibling():
     assert offenders == []
 
 
-def functions_naming(name: str) -> set:
-    """``module.function`` of every place in the package that names ``name``.
+def functions_where(test) -> set:
+    """``module.function`` of every place in the package with a node passing ``test``.
 
-    A use outside any function counts as ``module.<module>``; a nested
+    A node outside any function counts as ``module.<module>``; a nested
     function counts as itself, not as its enclosing one.
     """
     found = set()
@@ -45,15 +45,21 @@ def functions_naming(name: str) -> set:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{where.split('.')[0]}.{child.name}")
                 continue
-            if (isinstance(child, ast.Name) and child.id == name) or (
-                isinstance(child, ast.Attribute) and child.attr == name
-            ):
+            if test(child):
                 found.add(where)
             visit(child, where)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
     return found
+
+
+def functions_naming(name: str) -> set:
+    """``module.function`` of every place in the package that names ``name``."""
+    return functions_where(
+        lambda node: (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+    )
 
 
 def test_one_function_rewrites_triples():
@@ -256,3 +262,19 @@ def test_one_gram_form():
     visit(ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8")), "<module>")
     assert places <= {"_blocks"}
     assert definitions_of({"_as_gram"}) == []
+
+
+def test_one_reader_per_input():
+    # data.points_of, labels_of and count_of alone decide what a point set, a
+    # label array and a count are; spectral._blocks alone reads a Gram's dtype.
+    assert definitions_of({"_point_array", "_gram_points"}) == []
+    assert functions_naming("Integral") <= {"data.count_of"}
+    assert functions_where(
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr"
+        and any(isinstance(a, ast.Constant) and a.value == "points" for a in node.args)
+    ) == set()
+    kind_tests = functions_where(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "kind"
+        and getattr(node.value, "attr", None) == "dtype"
+    )
+    assert kind_tests <= {"data.points_of", "data.labels_of", "spectral._blocks"}

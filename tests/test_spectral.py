@@ -303,6 +303,12 @@ class TestSymEig:
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
 
+    @pytest.mark.parametrize("n_axes", [0, 5, 2.5, True])
+    def test_n_axes_is_checked_below_the_lanczos_size(self, n_axes):
+        # The dense solve does not use n_axes, but a bad one is still refused.
+        with pytest.raises(ValidationError, match="n_axes must be"):
+            sym_eig(np.eye(4), n_axes)
+
 
 def _dense_pipeline(gram, k, seed=0):
     eig = sym_eig(gram)
@@ -870,6 +876,15 @@ class TestClusteringAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             clustering_accuracy([0, 1], [0, 1, 1])
+
+    @pytest.mark.parametrize("labels", [[[0, 1], [1, 0]], [0, 1, -1, 0], [0, 1, 1.5, 0]])
+    def test_labels_are_read_as_label_arrays(self, labels):
+        # A 2-D array is not read as its flat values, nor a negative or
+        # fractional entry as a class of its own.
+        with pytest.raises(ValidationError, match="nonnegative integers"):
+            clustering_accuracy(labels, [0, 1, 1, 0])
+        with pytest.raises(ValidationError, match="nonnegative integers"):
+            clustering_accuracy([0, 1, 1, 0], labels)
 
     def test_no_labels_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="non-empty"):
