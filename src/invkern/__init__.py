@@ -22,6 +22,7 @@ from .data import (
     load_csv,
     save_dataset,
     top_norm_select,
+    write_float_rows,
 )
 from .invariance import (
     PHASE,

@@ -25,6 +25,7 @@ from .data import (
     parse_cell,
     save_dataset,
     top_norm_select,
+    write_float_rows,
 )
 from .errors import FormatError, InvkernError, ParseError, exit_code
 from .figures import heatmap_svg, scatter_svg
@@ -75,34 +76,10 @@ def _write_labels(labels, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# Rows of gram.csv formatted together; 16 rows keep the block's own cell
-# strings small beside the text kept for the rows below it.  Fewer rows
-# make more pending chunks, whose headers cost more than the block saves.
-_GRAM_CSV_BLOCK = 16
-
-
 def _write_gram_csv(values: np.ndarray, path: Path) -> None:
-    """Write a Gram as CSV text, ``repr`` per cell, so every float round-trips.
-
-    ``values`` must equal its transpose bit for bit, as ``kernel_matrix``
-    makes it: each symmetric pair is formatted once, in a block of rows
-    holding its upper cell.  The cells right of a block become one joined
-    chunk per later row, and a row's chunks are freed once it is written,
-    so at most N²/4 cells plus one 16-row block's cell strings are held.
-    """
-    n = len(values)
-    pending = [[] for _ in range(n)]  # per row: chunks of its cells left of the block
-    with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, n, _GRAM_CSV_BLOCK):
-            stop = min(start + _GRAM_CSV_BLOCK, n)
-            upper = [list(map(repr, row.tolist())) for row in values[start:stop, start:]]
-            for r, cells in enumerate(upper):
-                below_diagonal = [above[r] for above in upper[:r]]
-                handle.write(",".join([*pending[start + r], *below_diagonal, *cells[r:]]) + "\n")
-                pending[start + r] = None
-            right = (cells[stop - start:] for cells in upper)
-            for chunks, chunk in zip(pending[stop:], map(",".join, zip(*right))):
-                chunks.append(chunk)
+    """Write a Gram as CSV text, ``repr`` per cell, so every float round-trips."""
+    with open(path, "wb") as handle:
+        write_float_rows(handle, values, "\n")
 
 
 def _write_heatmap(gram: np.ndarray, labels, path: Path) -> None:

@@ -11,6 +11,7 @@ separation).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -63,19 +64,25 @@ def points_of(data, min_rows: int = 0, too_few: str | None = None, real: bool = 
     return points.astype(float, copy=False) if real else points
 
 
-def labels_of(labels, n: int) -> np.ndarray:
+def labels_of(labels, n: int | None = None) -> np.ndarray:
     """``n`` nonnegative integers below 2**63 (int or integral float) as int64.
 
-    The rule of :func:`load_csv`'s label column; anything else, bools
-    included, raises ValidationError.
+    Any number of them when ``n`` is None.  The rule of :func:`load_csv`'s
+    label column; anything else, bools and ragged sequences included,
+    raises ValidationError.
     """
-    values = np.asarray(labels)
+    try:
+        values = np.asarray(labels)
+    except ValueError:  # a ragged nesting of sequences
+        values = np.empty((0, 0))
+    count = len(values) if n is None and values.ndim == 1 else n
     if not (
-        values.shape == (n,) and values.dtype.kind in "iuf"
+        values.shape == (count,) and values.dtype.kind in "iuf"
         and np.all(values >= 0) and np.all(values < _LABEL_LIMIT)
         and (values.dtype.kind != "f" or np.array_equal(values, np.trunc(values)))
     ):
-        raise ValidationError(f"labels must be {n} nonnegative integers below 2**63")
+        how_many = "" if n is None else f"{n} "
+        raise ValidationError(f"labels must be {how_many}nonnegative integers below 2**63")
     return values.astype(np.int64, copy=False)
 
 
@@ -348,28 +355,408 @@ def _is_number(text: str) -> bool:
 def save_dataset(data: Dataset, path) -> None:
     """Write points (+ label column) as CSV with a .meta.json sidecar.
 
-    Floats are written with repr so a reload reproduces them exactly; no
-    cell needs quoting, and rows end in CRLF, as csv.writer writes them.
-    Rows are formatted one at a time, so no whole-array list is held.
+    Floats are written as ``repr`` writes them (:func:`write_float_rows`),
+    so a reload reproduces them exactly; no cell needs quoting, and rows end
+    in CRLF, as csv.writer writes them.
     """
     if np.iscomplexobj(data.points):
         raise ValidationError("CSV export supports real-valued datasets only")
-    rows = (",".join(map(repr, row.tolist())) for row in data.points.astype(float, copy=False))
-    if data.labels is not None:
-        rows = (f"{row},{label}" for row, label in zip(rows, data.labels.tolist()))
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.writelines(row + "\r\n" for row in rows)
+    with open(path, "wb") as handle:
+        write_float_rows(handle, data.points, "\r\n", data.labels)
     sidecar = os.path.splitext(str(path))[0] + ".meta.json"
     with open(sidecar, "w", encoding="utf-8") as handle:
         json.dump(data.meta, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
 
-def top_norm_select(data: Dataset, count: int) -> Dataset:
+# Float text: the bytes of ``repr`` for whole arrays of doubles.
+#
+# ``repr(x)`` is the shortest decimal that reads back as x, and the nearest
+# to x among those.  CPython finds it with the bignum arithmetic of ``dtoa``
+# (Gay 1990), which is most of its cost; the same digits follow from
+# fixed-width arithmetic (Ryu: Adams 2018), done here by numpy on whole
+# chunks of cells.
+#
+# Scale: y = |x| * 10**k lies in [1e16, 1e17).  It is kept as an int64 ``yi``
+# plus a double ``f`` in [-0.5, 0.5]: Dekker's exact product of x's mantissa
+# and the double-double 10**k of a table built from Python integers, times a
+# power of two.  For 0 <= k <= 22 the power is a double and y is exact; for
+# other k the table's rounding leaves y, and h below, within 1.3e-14.
+#
+# Pick: every decimal within half an ulp of x reads back as x.  Scaled alike,
+# that interval is y +- h (the half below a power of two is h / 2), and holds
+# its ends when x's mantissa is even.  The digits are those of the integer in
+# the interval with the most trailing zeros, the nearest to y among those,
+# and on a tie the one whose last digit is even.
+#
+# Fallback: a test of the pick is decided exactly when y and h are exact.
+# Otherwise it is decided only when its two sides differ by more than
+# _DELTA = 2**-44, four times the error bound; a cell with a test within
+# _DELTA, a NaN or an infinity is written by ``repr`` itself.  That never
+# happens for 1e-4 <= |x| < 1e17, where the tests are exact; below 1e-4 it
+# takes a value whose scaled ends or midpoint land within _DELTA of an
+# integer, such as 2**-24 (none of 4 million random doubles did).  Of the
+# doubles in [1e17, 1e20), about one in six falls back: their interval ends
+# are integers over 10**-k, which often land exactly on an integer.
+
+_K_MIN, _K_MAX = -310, 345  # 16 - floor(log10 |x|) of every finite double, and a step
+_DELTA = 2.0**-44
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+# Cells formatted at once.  They take about 300 bytes each while formatted,
+# 2.4 MB in all: 0.52 x the Gram at N = 800.  16384 cells were no faster.
+_FLOAT_CHUNK = 8192
+
+# One cell's text record: 13 little-endian uint32 words, of which a mask
+# picks the bytes that make the text.  The digits D[1..16] sit at _D1.  Left
+# of them, at _D1 - 1, sits D[0] after a right-aligned '0.', '0.0', '0.00'
+# or '0.000', or the point after a one-character integer part at _HEAD;
+# either way the text up to any exponent is one run of bytes.  An integer
+# part of two or more digits is read from its own copy of D[0..15] at _A,
+# then the point at _DOT.  The exponent suffix sits right-aligned against the
+# separator.
+_W = 52
+_SIGN, _A, _DOT, _HEAD, _D1, _SEP = 2, 3, 20, 26, 28, 49
+_LAYOUTS = 22  # positional with exponent -4..15, or two- or three-digit exponent
+
+
+@functools.cache
+def _float_tables() -> dict:
+    """Lookup tables of :func:`write_float_rows`, built on its first call."""
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    hi, lo, exp2, exact = (np.empty(len(k)) for _ in range(4))
+    for i, power in enumerate(k.tolist()):
+        # 10**power = num / den * 2**e with num / den in [0.5, 1), kept as hi + lo.
+        if power >= 0:
+            num, den = 10**power, 1 << (10**power).bit_length()
+            e = den.bit_length() - 1
+        else:
+            num, den = 1 << ((10**-power).bit_length() - 1), 10**-power
+            e = 1 - (10**-power).bit_length()
+        hi[i] = num / den
+        hi_num, hi_den = hi[i].as_integer_ratio()
+        rest = num * hi_den - hi_num * den
+        lo[i], exp2[i], exact[i] = rest / (den * hi_den), e, rest == 0
+    split = hi * _SPLIT
+    hi_high = split - (split - hi)
+    exact = exact.astype(bool)
+    n = np.arange(10000, dtype=np.uint16)
+    quads = np.empty((10000, 4), np.uint8)
+    for place, digit in enumerate((n // 1000, n // 100 % 10, n // 10 % 10, n % 10)):
+        quads[:, place] = 48 + digit
+    return {
+        "hi": hi, "hi_high": hi_high, "hi_low": hi - hi_high, "lo": lo,
+        "exp2": exp2.astype(np.int64) + 1023,
+        "exact": exact,
+        # Plain f +- h is exact when y is and k <= 20: then f and h share a
+        # binary grid no finer than 2**-47 and are below 16.
+        "approx": ~(exact & (k <= 20)),
+        "quads": quads.view(np.uint32).ravel(),
+        **_exponent_tables(),
+        **_layouts(),
+    }
+
+
+def _exponent_tables() -> dict:
+    """Per decimal exponent -400..399: the record words it fixes, and its layout."""
+    e = np.arange(-400, 400)
+    a = np.abs(e)
+    positional = (e >= -4) & (e < 16)
+    zeros = np.where(positional & (e < 0), -1 - e, -1)  # after '0.'; -1: no '0.'
+    # Bytes _DOT.._D1 - 1: the point, '0.' and zeros right-aligned to _HEAD,
+    # or the point after a one-character integer part.
+    middle = np.zeros((len(e), 8), np.uint8)
+    middle[:, 0] = ord(".")
+    col = np.arange(_DOT, _DOT + 8)
+    middle[(col >= _HEAD - 1 - zeros[:, None]) & (col <= _HEAD) & (zeros[:, None] >= 0)] = ord("0")
+    middle[zeros >= 0, _HEAD - 1 - zeros[zeros >= 0] - _DOT + 1] = ord(".")
+    middle[zeros < 0, _D1 - 1 - _DOT] = ord(".")
+    # 'e-05' or 'e+308' right-aligned in five bytes, then the separator
+    sign = np.where(e < 0, ord("-"), ord("+"))
+    three = a >= 100
+    suffix = np.zeros((len(e), 8), np.uint8)
+    suffix[:, 0] = np.where(three, ord("e"), 0)
+    suffix[:, 1] = np.where(three, sign, ord("e"))
+    suffix[:, 2] = np.where(three, 48 + a // 100, sign)
+    suffix[:, 3] = 48 + a // 10 % 10
+    suffix[:, 4] = 48 + a % 10
+    suffix[:, 5] = ord(",")
+    return {
+        "middles": middle.view(np.uint32),
+        # where D[0] (or a one-character integer part) goes in the last middle word
+        "first_at": np.where(zeros >= 0, 24, 16).astype(np.uint32),
+        "suffixes": suffix.view(np.uint32),
+        "layout": np.where(positional, e + 4, 20 + three) * 17,
+        "long": positional & (e >= 1),
+    }
+
+
+def _layouts() -> dict:
+    """The record bytes a cell uses per layout and digit count, and how many."""
+    layout = np.arange(_LAYOUTS)[:, None, None]
+    ndig = np.arange(1, 18)[None, :, None]
+    col = np.arange(_W)
+    point = layout - 3  # digits before the point; when <= 0, '0.' and -point zeros
+    positional = layout < 20
+    long = positional & (point >= 2)
+    frac_from = np.where(positional, np.maximum(point, 0), 1)
+    frac_to = np.where(positional & (point >= 1), np.maximum(ndig, point + 1), ndig)
+    suffix = np.where(positional, 0, np.where(layout == 20, 4, 5))
+    zero_point = positional & (point <= 0)
+    used = (
+        (long & (((col >= _A) & (col < _A + point)) | (col == _DOT)))
+        | (zero_point & (col >= _HEAD - 1 + point) & (col < _D1 - 1))
+        | (~long & ~zero_point & (col == _HEAD))
+        | (~long & ~zero_point & (col == _D1 - 1) & (positional | (ndig > 1)))
+        | ((col >= _D1 - 1 + frac_from) & (col < _D1 - 1 + frac_to))
+        | ((col >= _SEP - suffix) & (col <= _SEP))
+    ).reshape(_LAYOUTS * 17, _W)
+    return {"used": used, "lengths": used.sum(axis=1)}
+
+
+@functools.cache
+def _powers_of_two() -> tuple:
+    """(c, p, k, fallback) of 2**(e - 1) for each frexp exponent e = -1073..1024."""
+    x = np.ldexp(1.0, np.arange(-1074, 1024))
+    mx, ex = np.frexp(x)
+    t = _float_tables()
+    k, yi, f, h, h_lo, _ = _scaled(x, mx, ex, t)
+    odd = (x.view(np.int64) & 1).astype(bool)
+    c, p, fallback = _exact_digits(mx, ex, k, yi, f, h, h_lo, odd, t)
+    return c, p, k, fallback
+
+
+def _scale(mx, ex, i, t):
+    """yi, f, h and h's low part for mantissas ``mx`` and table rows ``i``."""
+    p = t["hi"].take(i)
+    p_lo = t["lo"].take(i)
+    prod = mx * p
+    split = mx * _SPLIT
+    m_high = split - (split - mx)
+    m_low = mx - m_high
+    p_high = t["hi_high"].take(i)
+    p_low = t["hi_low"].take(i)
+    f = ((m_high * p_high - prod) + m_high * p_low + m_low * p_high) + m_low * p_low
+    f += mx * p_lo
+    scale = ((ex + t["exp2"].take(i)) << 52).view(np.float64)  # 2**(ex + e), exact
+    f *= scale
+    carry = np.rint(f)
+    f -= carry
+    prod *= scale
+    yi = prod.astype(np.int64)
+    yi += carry.astype(np.int64)
+    scale *= 2.0**-54  # half an ulp of a normal x is 2**(ex - 54)
+    return yi, f, p * scale, p_lo * scale
+
+
+def _scaled(a, mx, ex, t):
+    """k, y = a * 10**k in [1e16, 1e17) as yi + f, and h as h + h_lo.
+
+    Also the indices of cells left outside that range, which the log10
+    estimate of k should never leave.
+    """
+    i = (16 - _K_MIN - np.floor(np.log10(a))).astype(np.intp)
+    yi, f, h, h_lo = _scale(mx, ex, i, t)
+    moved = np.flatnonzero((yi < 10**16) | (yi >= 10**17))
+    for _ in range(2):  # log10 may round across a power of ten; one step fixes it
+        if not len(moved):
+            break
+        i[moved] += np.where(yi[moved] < 10**16, 1, -1)
+        yi[moved], f[moved], h[moved], h_lo[moved] = _scale(mx[moved], ex[moved], i[moved], t)
+        moved = moved[(yi[moved] < 10**16) | (yi[moved] >= 10**17)]
+    subnormal = np.flatnonzero(ex < -1021)  # half an ulp is 2**-1075
+    h[subnormal] = np.ldexp(h[subnormal], -1021 - ex[subnormal])
+    h_lo[subnormal] = np.ldexp(h_lo[subnormal], -1021 - ex[subnormal])
+    return i + _K_MIN, yi, f, h, h_lo, moved
+
+
+def _digits(a, odd):
+    """Shortest round-trip digits of finite positive ``a`` (mantissa parity ``odd``).
+
+    Returns (c, ndig, e10, fallback): a reads back as the first ``ndig`` of
+    the 17 digits of c at decimal exponent e10, except where ``fallback``.
+    """
+    t = _float_tables()
+    mx, ex = np.frexp(a)
+    k, yi, f, h, h_lo, stuck = _scaled(a, mx, ex, t)
+    # The interval's integers are yi + [bottom, top]; ``up`` and ``down`` are
+    # how far its ends lie past top and before bottom.
+    up = f + h
+    top = np.floor(up)
+    up -= top
+    top -= (up == 0) & odd
+    down = f - h
+    bottom = np.ceil(down)
+    down = bottom - down
+    bottom += (down == 0) & odd
+    fallback = t["approx"].take(k - _K_MIN) & (
+        (np.abs(up - 0.5) >= 0.5 - _DELTA) | (np.abs(down - 0.5) >= 0.5 - _DELTA))
+    # The nearest multiples of 10 and 100, relative to yi.  The interval is
+    # symmetric and h < 11.2, so it holds a multiple of 10 (100) if and only
+    # if it holds the nearest, and never two multiples of 100.
+    u100 = (yi - yi // 100 * 100).astype(float)
+    u10 = u100 - np.floor(u100 / 10) * 10
+    near10 = 10.0 * (f > 5 - u10) - u10
+    near100 = 100.0 * (f > 50 - u100) - u100
+    p1 = (near10 >= bottom) & (near10 <= top)
+    p2 = (near100 >= bottom) & (near100 <= top)
+    c = yi + (p1 * near10 + p2 * (near100 - near10)).astype(np.int64)
+    p = p1 + p2.astype(np.int64)  # trailing zeros of c
+    hundreds = np.flatnonzero(p2)
+    rest = c[hundreds] // 100
+    zeros = p[hundreds]
+    for step in (8, 4, 2, 1):
+        cut = rest // 10**step
+        whole = cut * 10**step == rest
+        rest[whole] = cut[whole]
+        zeros += step * whole
+    p[hundreds] = zeros
+    # Ties, the uneven interval of a power of two and the wide one of a
+    # subnormal x go through the exact choice.
+    tie = np.abs(f)
+    tie = (tie >= 0.5 - _DELTA) | ((tie <= _DELTA) & (u10 == 5))
+    power = np.flatnonzero(mx == 0.5)
+    if len(power):
+        c[power], p[power], k[power], fallback[power] = (
+            column.take(ex[power] + 1073) for column in _powers_of_two())
+    other = np.flatnonzero((tie | (ex < -1021)) & (mx != 0.5))
+    if len(other):
+        c[other], p[other], fallback[other] = _exact_digits(
+            mx[other], ex[other], k[other], yi[other], f[other], h[other], h_lo[other],
+            odd[other], t)
+    fallback[stuck] = True
+    e10 = 16 - k
+    whole = c == 10**17
+    c[whole] = 10**16
+    p[whole] = 16
+    e10 += whole
+    return c, 17 - p, e10, fallback
+
+
+def _exact_digits(mx, ex, k, yi, f, h, h_lo, odd, t):
+    """:func:`_digits`' choice for any interval: (c, p, fallback), p trailing zeros."""
+    exact = t["exact"].take(k - _K_MIN)
+    margin = np.where(exact, 0.0, _DELTA)
+    low = np.where((mx == 0.5) & (ex > -1021), 0.5, 1.0)
+    # Each end as yi, plus an integer, plus a remainder (TwoSum, Knuth 1969).
+    up = f + h
+    err = (f - (up - (up - f))) + (h - (up - f))
+    near_up = np.rint(up)
+    up_rest = (up - near_up) + (err + h_lo)
+    down = f - low * h
+    err = (f - (down - (down - f))) + (-low * h - (down - f))
+    near_down = np.rint(down)
+    down_rest = (down - near_down) + (err - low * h_lo)
+    top = yi + near_up.astype(np.int64) - (up_rest < 0) - ((up_rest == 0) & odd)
+    bottom = yi + near_down.astype(np.int64) + (down_rest > 0) + ((down_rest == 0) & odd)
+    fallback = ~exact & ((np.abs(up_rest) <= _DELTA) | (np.abs(down_rest) <= _DELTA))
+    span = top - bottom
+    p = np.zeros(len(top), np.int64)
+    for power in _POW10[1:]:
+        p += top % power <= span
+    r = _POW10[p]
+    below = yi % r
+    base = yi - below
+    half, f_half = r // 2, np.where(r == 1, 0.5, 0.0)
+    up_tie = (below == half) & (np.abs(f - f_half) <= margin)
+    down_tie = (r == 1) & (np.abs(f + 0.5) <= margin)
+    rounds_up = np.where(
+        up_tie & exact, base // r % 2 == 1, (below > half) | ((below == half) & (f > f_half)))
+    c = base + r * rounds_up - (down_tie & exact & (yi % 2 == 1))
+    c = np.minimum(np.maximum(c, -(-bottom // r) * r), top - top % r)
+    return c, p, fallback | (~exact & (up_tie | down_tie))
+
+
+def _records(x, text, used):
+    """Fill ``text`` and ``used`` with the records of flat float64 ``x``; return their lengths."""
+    t = _float_tables()
+    words = text.view(np.uint32)
+    a = np.abs(x)
+    finite = np.isfinite(a)
+    a[~finite | (a == 0)] = 1.0
+    c, ndig, e10, fallback = _digits(a, (x.view(np.int64) & 1).astype(bool))
+    fallback |= ~finite
+    quads = t["quads"]
+    high = c // 10**8
+    low = c - high * 10**8
+    first = high // 10**8
+    high -= first * 10**8
+    quad = high // 10**4
+    words[:, 7] = quads.take(quad)
+    words[:, 8] = quads.take(high - quad * 10**4)
+    quad = low // 10**4
+    words[:, 9] = quads.take(quad)
+    words[:, 10] = quads.take(low - quad * 10**4)
+    e10 += 400
+    words[:, 5:7] = t["middles"].take(e10, axis=0)
+    words[:, 6] |= ((first * (x != 0) + 48).astype(np.uint32)) << t["first_at"].take(e10)
+    long = np.flatnonzero(t["long"].take(e10))
+    words[long, 0] = ((first[long] + 48).astype(np.uint32) << 24) | (ord("-") << 16)
+    words[long, 1:5] = words[long, 7:11]
+    words[:, 11:13] = t["suffixes"].take(e10, axis=0)
+    layout = t["layout"].take(e10) + ndig - 1
+    np.take(t["used"], layout, axis=0, out=used)
+    negative = np.signbit(x)
+    used[:, _SIGN] = negative
+    lengths = t["lengths"].take(layout) + negative
+    for j in np.flatnonzero(fallback):
+        cell = np.frombuffer(repr(float(x[j])).encode(), np.uint8)
+        head, rest = cell[:_DOT - _A], cell[_DOT - _A:]
+        used[j, :_SEP] = False
+        text[j, _A:_DOT][:len(head)] = head
+        used[j, _A:_DOT][:len(head)] = True
+        text[j, _D1:_D1 + len(rest)] = rest
+        used[j, _D1:_D1 + len(rest)] = True
+        lengths[j] = len(cell) + 1
+    return lengths
+
+
+def write_float_rows(handle, values, newline: str, labels=None) -> None:
+    """Write the rows of a 2-D real array as CSV text to the binary ``handle``.
+
+    Each row is written as ``",".join(map(repr, row.tolist()))``, then
+    ``",label"`` when ``labels`` (one nonnegative integer per row, as
+    :func:`labels_of` reads them) is given, then ``newline``.  The bytes are
+    the same for every double; the cells are formatted in chunks by numpy
+    arithmetic, with ``repr`` only for the rare cell the notes above name.
+    """
+    values = points_of(values, real=True)
+    rows, cols = values.shape
+    if labels is None:
+        tails = [newline.encode()] * rows
+    else:
+        tails = [f",{label}{newline}".encode() for label in labels_of(labels, rows).tolist()]
+    if cols == 0:
+        handle.write(b"".join(tails))
+        return
+    step = max(1, _FLOAT_CHUNK // cols)
+    text = np.zeros((min(rows, step) * cols, _W), np.uint8)
+    text[:, _SIGN] = ord("-")
+    used = np.empty(text.shape, bool)
+    for start in range(0, rows, step):
+        block = values[start:start + step]
+        n = block.size
+        lengths = _records(block.ravel(), text[:n], used[:n])
+        used[cols - 1:n:cols, _SEP] = False
+        lengths[cols - 1::cols] -= 1
+        cells = memoryview(text[:n][used[:n]])
+        ends = np.cumsum(lengths.reshape(len(block), cols).sum(axis=1)).tolist()
+        parts = []
+        begin = 0
+        for end, tail in zip(ends, tails[start:start + len(block)]):
+            parts += (cells[begin:end], tail)
+            begin = end
+        handle.write(b"".join(parts))
+
+
+def top_norm_select(data, count: int) -> Dataset:
     """Keep the ``count`` largest-norm points, ties to the lower index.
 
-    The surviving points keep their original relative order.
+    ``data`` is a Dataset, or points as :func:`points_of` reads them (an
+    unlabeled Dataset).  The surviving points keep their original relative
+    order.
     """
+    data = data if isinstance(data, Dataset) else Dataset(data)
     n = len(data)
     count = count_of(count, "count", 0, n)
     norms = np.linalg.norm(data.points, axis=1)
@@ -430,7 +817,13 @@ class MixingEstimate:
 def angle_between_lines_deg(u, v) -> float:
     """Angle between the lines spanned by u and v, in [0, 90] degrees."""
     u, v = points_of([u, v], real=True)
-    cos = abs(float(u @ v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+    # An overflowing or vanishing norm is reported below, not warned.
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(u) * np.linalg.norm(v)
+    if not 0.0 < norms < np.inf:
+        raise ValidationError(
+            f"a line needs a nonzero direction of finite norm; the norms multiply to {norms}")
+    cos = abs(float(u @ v)) / norms
     return math.degrees(math.acos(min(cos, 1.0)))
 
 

@@ -542,7 +542,7 @@ def spectral_cluster(data, spec: KernelSpec, k: int, seed: int = 0) -> Clusterin
 
 def clustering_accuracy(labels, truth) -> float:
     """Best label-permutation agreement rate in [0, 1] of two label arrays of one length."""
-    labels = labels_of(labels, np.size(labels))  # any length, but 1-D
+    labels = labels_of(labels)
     truth = labels_of(truth, len(labels))
     if not len(labels):
         raise ValidationError("labels must be non-empty")

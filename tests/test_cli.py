@@ -396,12 +396,18 @@ def symmetric_gram(rng, n):
     return gram
 
 
+def sharp_gram():
+    """The plain gaussian(0.1) Gram of 800 points on lines: mostly tiny values and zeros."""
+    return build_gram(gen_directions(6, 800, seed=1)[0], KernelSpec(gaussian(0.1)))
+
+
 class TestGramCsvWriter:
-    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 33, 63, 64, 65, 129, 300])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 33, 63, 64, 65, 129, 300, 800, "sharp"])
     def test_matches_per_row_writer(self, tmp_path, n):
-        # Sizes around multiples of the 16-row block height cover a partial,
-        # a full and a single-row last block.
-        gram = symmetric_gram(np.random.default_rng(n), n)
+        # The writer formats 8192 // N rows at a time: most sizes end in a
+        # partial chunk, N = 800 in 80 full ones.  The sharp Gram's cells are
+        # mostly zeros and exponent forms.
+        gram = sharp_gram() if n == "sharp" else symmetric_gram(np.random.default_rng(n), n)
         _write_gram_csv(gram, tmp_path / "blocked.csv")
         write_gram_csv_rows(gram, tmp_path / "rows.csv")
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -19,6 +19,7 @@ from invkern import (
     canonical_direction,
     check_invariance,
     cluster_gram,
+    clustering_accuracy,
     estimate_mixing,
     eval_kernel,
     gaussian,
@@ -33,6 +34,7 @@ from invkern import (
     save_dataset,
     top_norm_select,
     truncated_eig,
+    write_float_rows,
 )
 from invkern.data import _load_cells, best_matching, count_of, labels_of, points_of
 from invkern.errors import DegenerateClusterError, FormatError, ParseError, ValidationError
@@ -80,6 +82,15 @@ MALFORMED_CALLS = {
     "kmeans-bool-k": lambda: kmeans(_P, True),
     "gen_xor-float-count": lambda: gen_xor(2.5, 0.1),
     "gen_directions-float-k": lambda: gen_directions(2.5, 10),
+    "labels_of-ragged": lambda: labels_of([[0], [1, 2]], 2),
+    "Dataset-ragged-labels": lambda: Dataset(_P[:2], [[0], [1, 2]]),
+    "clustering_accuracy-ragged": lambda: clustering_accuracy([[0], [1, 2]], [0, 1]),
+    "angle_between_lines_deg-zero": lambda: angle_between_lines_deg([0, 0], [1, 0]),
+    "angle_between_lines_deg-overflow": lambda: angle_between_lines_deg([1e300, 0], [1e300, 0]),
+    "top_norm_select-strings": lambda: top_norm_select(_S, 1),
+    "write_float_rows-1d": lambda: write_float_rows(io.BytesIO(), np.ones(3), "\n"),
+    "write_float_rows-short-labels": lambda: write_float_rows(
+        io.BytesIO(), np.ones((3, 2)), "\n", [0, 1]),
 }
 
 
@@ -472,6 +483,11 @@ class TestTopNormSelect:
         kept = top_norm_select(data, 2)
         np.testing.assert_array_equal(kept.points, [[3.0, 0.0], [2.0, 0.0]])
 
+    def test_reads_an_array_as_unlabeled_points(self):
+        kept = top_norm_select(np.array([[1.0, 0.0], [0.0, 3.0], [2.0, 0.0]]), 2)
+        np.testing.assert_array_equal(kept.points, [[0.0, 3.0], [2.0, 0.0]])
+        assert kept.labels is None and kept.meta == {"top_norm_count": 2}
+
     def test_ties_go_to_lower_index(self):
         from invkern import Dataset
 
@@ -573,3 +589,64 @@ class TestCanonicalDirection:
     def test_huge_finite_vector_keeps_its_bits(self):
         v = [-3e150, 4e150]
         np.testing.assert_array_equal(canonical_direction(v), -np.asarray(v) / np.linalg.norm(v))
+
+
+def repr_rows(values, newline="\n", labels=None) -> bytes:
+    """The reference text: ``repr`` of every cell, joined per row."""
+    rows = [",".join(map(repr, row)) for row in np.asarray(values, float).tolist()]
+    if labels is not None:
+        rows = [f"{row},{label}" for row, label in zip(rows, labels)]
+    return "".join(row + newline for row in rows).encode()
+
+
+def float_text(values, newline="\n", labels=None) -> bytes:
+    handle = io.BytesIO()
+    write_float_rows(handle, values, newline, labels)
+    return handle.getvalue()
+
+
+def shortest_lengths() -> list:
+    """Doubles whose shortest repr has 1, 2, ..., 17 significant digits."""
+    values = [float("123456789123456"[:n]) / 10 ** (n // 2) for n in range(1, 16)]
+    return values + [1 / 3, 0.1 + 0.2]
+
+
+class TestFloatText:
+    def test_matches_repr_on_random_bit_patterns(self):
+        # Every exponent, subnormals and both signs: 10**6 doubles.
+        bits = np.random.default_rng(28).integers(0, 2**64, 1_050_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:1_000_000].reshape(1000, 1000)
+        assert float_text(values) == repr_rows(values)
+
+    def test_edges(self):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        edges = [
+            0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, 9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16,
+            1e22, 1e23, 1e17, 123456789012345680.0, 0.5, 1.0, 2.0,
+        ]
+        lengths = shortest_lengths()
+        significant = [repr(v).split("e")[0].replace(".", "").strip("0") for v in lengths]
+        assert sorted(map(len, significant)) == list(range(1, 18))
+        scaled = np.outer(lengths, 10.0 ** np.arange(-323, 290, 7)).ravel()
+        for values in (powers, edges, scaled):
+            values = np.concatenate([values, np.negative(values)])
+            assert float_text(values[:, None]) == repr_rows(values[:, None])
+            assert float_text(values[None, :]) == repr_rows(values[None, :])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_matches_repr(self, row):
+        assert float_text([row]) == repr_rows([row])
+
+    def test_rows_wider_than_a_chunk(self):
+        values = np.random.default_rng(5).standard_normal((3, 20000)) * 1e3
+        assert float_text(values, "\r\n", [4, 5, 6]) == repr_rows(values, "\r\n", [4, 5, 6])
+
+    def test_labels_newlines_and_cells_repr_writes_itself(self):
+        values = np.array([[np.nan, np.inf, -np.inf], [1e23, -0.0, 2.5], [1.0, 1e-7, 3e300]])
+        labels = [0, 2**63 - 1, 7]
+        assert float_text(values, "\r\n", labels) == repr_rows(values, "\r\n", labels)
+        assert float_text(np.zeros((2, 0)), "\n", [1, 2]) == b",1\n,2\n"
+        assert float_text(np.zeros((0, 3))) == b""

@@ -278,3 +278,20 @@ def test_one_reader_per_input():
         and getattr(node.value, "attr", None) == "dtype"
     )
     assert kind_tests <= {"data.points_of", "data.labels_of", "spectral._blocks"}
+
+
+def test_one_float_text_writer():
+    # data.write_float_rows alone turns arrays of floats into text; a
+    # map(repr, ...) or a comprehension of repr() over cells elsewhere would be
+    # a second, slower writer of the same bytes.
+    def repr_of_cells(node):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "map":
+            return bool(node.args) and ast.unparse(node.args[0]) == "repr"
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            return any(
+                isinstance(call, ast.Call) and ast.unparse(call.func) == "repr"
+                for call in ast.walk(node)
+            )
+        return False
+
+    assert functions_where(repr_of_cells) == set()
