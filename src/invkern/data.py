@@ -106,6 +106,7 @@ def gen_xor(n_per_arm: int, spread: float, seed: int = 0) -> Dataset:
     own class; only a sign-blind method can recover the labels.
     """
     n_per_arm = count_of(n_per_arm, "n_per_arm", 1)
+    seed = count_of(seed, "seed", 0)
     if not spread > 0:
         raise ValidationError("spread must be positive")
     rng = np.random.default_rng(seed)
@@ -134,6 +135,7 @@ def gen_flipped_blobs(
     """
     n_per_class = count_of(n_per_class, "n_per_class", 1)
     dim = count_of(dim, "dim", 2)
+    seed = count_of(seed, "seed", 0)
     if not separation > 0:
         raise ValidationError("separation must be positive")
     if not 0.0 <= flip_prob <= 1.0:
@@ -177,6 +179,7 @@ def gen_directions(
     """
     k = count_of(k, "k", 2)
     n_points = count_of(n_points, "n_points", k)
+    seed = count_of(seed, "seed", 0)
     angle_offset_deg, mu, s = 10.0, 0.0, 0.75
     rng = np.random.default_rng(seed)
     angles = np.radians(angle_offset_deg + 180.0 * np.arange(k) / k)
@@ -373,9 +376,10 @@ def save_dataset(data: Dataset, path) -> None:
 #
 # ``repr(x)`` is the shortest decimal that reads back as x, and the nearest
 # to x among those.  CPython finds it with the bignum arithmetic of ``dtoa``
-# (Gay 1990), which is most of its cost; the same digits follow from
-# fixed-width arithmetic (Ryu: Adams 2018), done here by numpy on whole
-# chunks of cells.
+# (Gay 1990), which is most of its cost; for almost every double the same
+# digits follow from fixed-width arithmetic (Ryu: Adams 2018), done here by
+# numpy on whole chunks of cells.  Where that pick does not decide, the
+# digits are those of ``repr`` itself.
 #
 # Scale: y = |x| * 10**k lies in [1e16, 1e17).  It is kept as an int64 ``yi``
 # plus a double ``f`` in [-0.5, 0.5]: Dekker's exact product of x's mantissa
@@ -384,27 +388,25 @@ def save_dataset(data: Dataset, path) -> None:
 # other k the table's rounding leaves y, and h below, within 1.3e-14.
 #
 # Pick: every decimal within half an ulp of x reads back as x.  Scaled alike,
-# that interval is y +- h (the half below a power of two is h / 2), and holds
-# its ends when x's mantissa is even.  The digits are those of the integer in
-# the interval with the most trailing zeros, the nearest to y among those,
-# and on a tie the one whose last digit is even.
+# that interval is y +- h, and holds its ends when x's mantissa is even; the
+# digits are those of its integer with the most trailing zeros, the nearest
+# to y among those.  A test is decided exactly when y and h are exact, else
+# when its sides differ by more than _DELTA = 2**-44, four times the error.
 #
-# Fallback: a test of the pick is decided exactly when y and h are exact.
-# Otherwise it is decided only when its two sides differ by more than
-# _DELTA = 2**-44, four times the error bound; a cell with a test within
-# _DELTA, a NaN or an infinity is written by ``repr`` itself.  That never
-# happens for 1e-4 <= |x| < 1e17, where the tests are exact; below 1e-4 it
-# takes a value whose scaled ends or midpoint land within _DELTA of an
-# integer, such as 2**-24 (none of 4 million random doubles did).  Of the
-# doubles in [1e17, 1e20), about one in six falls back: their interval ends
-# are integers over 10**-k, which often land exactly on an integer.
+# Repr: a power of two's interval is uneven (h / 2 below), so its digits are
+# read off ``repr`` once per exponent, which keeps RBF diagonals and
+# integer-valued Grams on the pick.  A tie of two nearest candidates, a
+# subnormal, a test within _DELTA, NaN and inf have ``repr``'s text spliced
+# in: no cell of 10**6 uniform in [0, 1), 0.75% of the nonzero cells of a
+# gaussian(0.1) Gram of points on lines (its subnormals), 0.26% of random
+# bit patterns, and one in six log-uniform in [1e17, 1e20), whose interval
+# ends, integers over 10**-k, often land on an integer; below 1e-4, rare.
 
 _K_MIN, _K_MAX = -310, 345  # 16 - floor(log10 |x|) of every finite double, and a step
 _DELTA = 2.0**-44
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
 # Cells formatted at once.  They take about 300 bytes each while formatted,
-# 2.4 MB in all: 0.52 x the Gram at N = 800.  16384 cells were no faster.
+# 2.4 MB in all: 0.47 x the Gram at N = 800.  16384 cells were no faster.
 _FLOAT_CHUNK = 8192
 
 # One cell's text record: 13 little-endian uint32 words, of which a mask
@@ -414,9 +416,11 @@ _FLOAT_CHUNK = 8192
 # either way the text up to any exponent is one run of bytes.  An integer
 # part of two or more digits is read from its own copy of D[0..15] at _A,
 # then the point at _DOT.  The exponent suffix sits right-aligned against the
-# separator.
+# separator.  A cell written by ``repr`` has its text at _A, padded with
+# zero bytes to _REPR, the longest repr of a double (-2.2250738585072014e-308).
 _W = 52
 _SIGN, _A, _DOT, _HEAD, _D1, _SEP = 2, 3, 20, 26, 28, 49
+_REPR = 24
 _LAYOUTS = 22  # positional with exponent -4..15, or two- or three-digit exponent
 
 
@@ -447,11 +451,12 @@ def _float_tables() -> dict:
     return {
         "hi": hi, "hi_high": hi_high, "hi_low": hi - hi_high, "lo": lo,
         "exp2": exp2.astype(np.int64) + 1023,
-        "exact": exact,
         # Plain f +- h is exact when y is and k <= 20: then f and h share a
         # binary grid no finer than 2**-47 and are below 16.
         "approx": ~(exact & (k <= 20)),
         "quads": quads.view(np.uint32).ravel(),
+        # (c, p, k) of 2**(e - 1) at e + 1021, from repr once e occurs; c = 0 before
+        "powers": np.zeros((3, 2046), np.int64),
         **_exponent_tables(),
         **_layouts(),
     }
@@ -514,22 +519,9 @@ def _layouts() -> dict:
     return {"used": used, "lengths": used.sum(axis=1)}
 
 
-@functools.cache
-def _powers_of_two() -> tuple:
-    """(c, p, k, fallback) of 2**(e - 1) for each frexp exponent e = -1073..1024."""
-    x = np.ldexp(1.0, np.arange(-1074, 1024))
-    mx, ex = np.frexp(x)
-    t = _float_tables()
-    k, yi, f, h, h_lo, _ = _scaled(x, mx, ex, t)
-    odd = (x.view(np.int64) & 1).astype(bool)
-    c, p, fallback = _exact_digits(mx, ex, k, yi, f, h, h_lo, odd, t)
-    return c, p, k, fallback
-
-
 def _scale(mx, ex, i, t):
-    """yi, f, h and h's low part for mantissas ``mx`` and table rows ``i``."""
+    """yi, f and h for mantissas ``mx`` and table rows ``i``."""
     p = t["hi"].take(i)
-    p_lo = t["lo"].take(i)
     prod = mx * p
     split = mx * _SPLIT
     m_high = split - (split - mx)
@@ -537,7 +529,7 @@ def _scale(mx, ex, i, t):
     p_high = t["hi_high"].take(i)
     p_low = t["hi_low"].take(i)
     f = ((m_high * p_high - prod) + m_high * p_low + m_low * p_high) + m_low * p_low
-    f += mx * p_lo
+    f += mx * t["lo"].take(i)
     scale = ((ex + t["exp2"].take(i)) << 52).view(np.float64)  # 2**(ex + e), exact
     f *= scale
     carry = np.rint(f)
@@ -546,28 +538,31 @@ def _scale(mx, ex, i, t):
     yi = prod.astype(np.int64)
     yi += carry.astype(np.int64)
     scale *= 2.0**-54  # half an ulp of a normal x is 2**(ex - 54)
-    return yi, f, p * scale, p_lo * scale
+    return yi, f, p * scale
 
 
 def _scaled(a, mx, ex, t):
-    """k, y = a * 10**k in [1e16, 1e17) as yi + f, and h as h + h_lo.
-
-    Also the indices of cells left outside that range, which the log10
-    estimate of k should never leave.
-    """
+    """k, y = a * 10**k in [1e16, 1e17) as yi + f, h, and the cells still outside it."""
     i = (16 - _K_MIN - np.floor(np.log10(a))).astype(np.intp)
-    yi, f, h, h_lo = _scale(mx, ex, i, t)
+    yi, f, h = _scale(mx, ex, i, t)
     moved = np.flatnonzero((yi < 10**16) | (yi >= 10**17))
     for _ in range(2):  # log10 may round across a power of ten; one step fixes it
         if not len(moved):
             break
         i[moved] += np.where(yi[moved] < 10**16, 1, -1)
-        yi[moved], f[moved], h[moved], h_lo[moved] = _scale(mx[moved], ex[moved], i[moved], t)
+        yi[moved], f[moved], h[moved] = _scale(mx[moved], ex[moved], i[moved], t)
         moved = moved[(yi[moved] < 10**16) | (yi[moved] >= 10**17)]
-    subnormal = np.flatnonzero(ex < -1021)  # half an ulp is 2**-1075
-    h[subnormal] = np.ldexp(h[subnormal], -1021 - ex[subnormal])
-    h_lo[subnormal] = np.ldexp(h_lo[subnormal], -1021 - ex[subnormal])
-    return i + _K_MIN, yi, f, h, h_lo, moved
+    return i + _K_MIN, yi, f, h, moved
+
+
+def _power_of_two(ex: int) -> tuple:
+    """(c, p, k) of the normal 2**(ex - 1), read off its ``repr``: p trailing zeros."""
+    mantissa, _, exponent = repr(math.ldexp(1.0, ex - 1)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    text = whole + fraction
+    digits = text.strip("0")
+    p = 17 - len(digits)
+    return int(digits) * 10**p, p, 17 - len(whole) + text.find(digits) - int(exponent or 0)
 
 
 def _digits(a, odd):
@@ -578,7 +573,7 @@ def _digits(a, odd):
     """
     t = _float_tables()
     mx, ex = np.frexp(a)
-    k, yi, f, h, h_lo, stuck = _scaled(a, mx, ex, t)
+    k, yi, f, h, stuck = _scaled(a, mx, ex, t)
     # The interval's integers are yi + [bottom, top]; ``up`` and ``down`` are
     # how far its ends lie past top and before bottom.
     up = f + h
@@ -611,60 +606,23 @@ def _digits(a, odd):
         rest[whole] = cut[whole]
         zeros += step * whole
     p[hundreds] = zeros
-    # Ties, the uneven interval of a power of two and the wide one of a
-    # subnormal x go through the exact choice.
+    # Ties and subnormal x go to repr; a power of two takes repr's digits.
     tie = np.abs(f)
-    tie = (tie >= 0.5 - _DELTA) | ((tie <= _DELTA) & (u10 == 5))
-    power = np.flatnonzero(mx == 0.5)
-    if len(power):
-        c[power], p[power], k[power], fallback[power] = (
-            column.take(ex[power] + 1073) for column in _powers_of_two())
-    other = np.flatnonzero((tie | (ex < -1021)) & (mx != 0.5))
-    if len(other):
-        c[other], p[other], fallback[other] = _exact_digits(
-            mx[other], ex[other], k[other], yi[other], f[other], h[other], h_lo[other],
-            odd[other], t)
+    fallback |= (tie >= 0.5 - _DELTA) | ((tie <= _DELTA) & (u10 == 5)) | (ex < -1021)
     fallback[stuck] = True
+    power = np.flatnonzero((mx == 0.5) & (ex >= -1021))
+    row = ex[power] + 1021
+    known = t["powers"]
+    for e in set(row[known[0].take(row) == 0].tolist()):
+        known[:, e] = _power_of_two(e - 1021)
+    c[power], p[power], k[power] = (column.take(row) for column in known)
+    fallback[power] = False
     e10 = 16 - k
     whole = c == 10**17
     c[whole] = 10**16
     p[whole] = 16
     e10 += whole
     return c, 17 - p, e10, fallback
-
-
-def _exact_digits(mx, ex, k, yi, f, h, h_lo, odd, t):
-    """:func:`_digits`' choice for any interval: (c, p, fallback), p trailing zeros."""
-    exact = t["exact"].take(k - _K_MIN)
-    margin = np.where(exact, 0.0, _DELTA)
-    low = np.where((mx == 0.5) & (ex > -1021), 0.5, 1.0)
-    # Each end as yi, plus an integer, plus a remainder (TwoSum, Knuth 1969).
-    up = f + h
-    err = (f - (up - (up - f))) + (h - (up - f))
-    near_up = np.rint(up)
-    up_rest = (up - near_up) + (err + h_lo)
-    down = f - low * h
-    err = (f - (down - (down - f))) + (-low * h - (down - f))
-    near_down = np.rint(down)
-    down_rest = (down - near_down) + (err - low * h_lo)
-    top = yi + near_up.astype(np.int64) - (up_rest < 0) - ((up_rest == 0) & odd)
-    bottom = yi + near_down.astype(np.int64) + (down_rest > 0) + ((down_rest == 0) & odd)
-    fallback = ~exact & ((np.abs(up_rest) <= _DELTA) | (np.abs(down_rest) <= _DELTA))
-    span = top - bottom
-    p = np.zeros(len(top), np.int64)
-    for power in _POW10[1:]:
-        p += top % power <= span
-    r = _POW10[p]
-    below = yi % r
-    base = yi - below
-    half, f_half = r // 2, np.where(r == 1, 0.5, 0.0)
-    up_tie = (below == half) & (np.abs(f - f_half) <= margin)
-    down_tie = (r == 1) & (np.abs(f + 0.5) <= margin)
-    rounds_up = np.where(
-        up_tie & exact, base // r % 2 == 1, (below > half) | ((below == half) & (f > f_half)))
-    c = base + r * rounds_up - (down_tie & exact & (yi % 2 == 1))
-    c = np.minimum(np.maximum(c, -(-bottom // r) * r), top - top % r)
-    return c, p, fallback | (~exact & (up_tie | down_tie))
 
 
 def _records(x, text, used):
@@ -675,7 +633,6 @@ def _records(x, text, used):
     finite = np.isfinite(a)
     a[~finite | (a == 0)] = 1.0
     c, ndig, e10, fallback = _digits(a, (x.view(np.int64) & 1).astype(bool))
-    fallback |= ~finite
     quads = t["quads"]
     high = c // 10**8
     low = c - high * 10**8
@@ -699,15 +656,17 @@ def _records(x, text, used):
     negative = np.signbit(x)
     used[:, _SIGN] = negative
     lengths = t["lengths"].take(layout) + negative
-    for j in np.flatnonzero(fallback):
-        cell = np.frombuffer(repr(float(x[j])).encode(), np.uint8)
-        head, rest = cell[:_DOT - _A], cell[_DOT - _A:]
-        used[j, :_SEP] = False
-        text[j, _A:_DOT][:len(head)] = head
-        used[j, _A:_DOT][:len(head)] = True
-        text[j, _D1:_D1 + len(rest)] = rest
-        used[j, _D1:_D1 + len(rest)] = True
-        lengths[j] = len(cell) + 1
+    by_repr = np.flatnonzero(fallback | ~finite)
+    if len(by_repr):
+        padded = []
+        for value in x[by_repr].tolist():
+            padded.append(repr(value).ljust(_REPR, "\0"))
+        cells = np.frombuffer("".join(padded).encode(), np.uint8).reshape(-1, _REPR)
+        mask = cells != 0
+        text[by_repr, _A:_A + _REPR] = cells
+        used[by_repr, :_SEP] = False
+        used[by_repr, _A:_A + _REPR] = mask
+        lengths[by_repr] = mask.sum(axis=1) + 1
     return lengths
 
 

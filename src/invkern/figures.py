@@ -97,8 +97,12 @@ def heatmap_svg(matrix, file, size: int = 480, order=None) -> None:
         raise ValidationError(f"heatmap_svg expects a non-empty matrix, got shape {values.shape}")
     n_rows, n_cols = values.shape
     if order is not None:
-        order = np.asarray(order)
-        if n_rows != n_cols or not np.array_equal(np.sort(order), np.arange(n_rows)):
+        try:
+            order = labels_of(order, n_rows)
+            permutes = n_rows == n_cols and np.array_equal(np.sort(order), np.arange(n_rows))
+        except ValidationError:  # not n_rows nonnegative integers
+            permutes = False
+        if not permutes:
             raise ValidationError("heatmap_svg expects order to permute a square matrix's rows")
     # min and max propagate nan and reach ±inf when one is present.
     vmin = float(values.min())

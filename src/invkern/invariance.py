@@ -557,6 +557,7 @@ def check_invariance(
     """
     points = points_of(samples, 1, "samples must be non-empty")
     n_group_samples = count_of(n_group_samples, "n_group_samples", 1)
+    seed = count_of(seed, "seed", 0)
     if group is None:
         group = spec.invariance
     if group is None:

@@ -495,7 +495,7 @@ def kmeans(points, k: int, seed: int = 0):
     k = count_of(k, "k", 1, len(pts))
     if not np.isfinite(pts).all():
         raise ValidationError("k-means points must be finite")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(count_of(seed, "seed", 0))
     best_labels, best_inertia = None, np.inf
     for _ in range(_KMEANS_RESTARTS):
         centers = _seed_centers(pts, k, rng)
@@ -515,6 +515,7 @@ def cluster_gram(gram, k: int, seed: int = 0) -> ClusteringResult:
     holds one value per computed eigenpair (see :func:`truncated_eig`),
     not N.
     """
+    seed = count_of(seed, "seed", 0)
     eig = sym_eig(gram, k)
     total, contributions = renyi_entropy(gram, eig)
     embedding, axes = keca_embed(gram, k, eig)
@@ -537,6 +538,7 @@ def spectral_cluster(data, spec: KernelSpec, k: int, seed: int = 0) -> Clusterin
     -> entropy decomposition -> embedding on the top k axes -> angular
     k-means.
     """
+    seed = count_of(seed, "seed", 0)
     return cluster_gram(gram_blocks(points_of(data, 2, _TOO_FEW), spec), k, seed=seed)
 
 

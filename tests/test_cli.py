@@ -413,10 +413,8 @@ class TestGramCsvWriter:
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_peak_memory_is_below_one_gram(self, tmp_path):
-        # At most N²/4 cells are held as joined text, plus one 16-row
-        # block's cell strings: about 0.95 x the Gram at N = 800.  64-row
-        # blocks peak at 1.7 x, and a str object per cell kept for the rows
-        # below at about 2.5 x.
+        # The writer formats 8192 cells at a time and writes each chunk's
+        # text before the next: about 2.4 MB, 0.47 x the Gram at N = 800.
         n = 800
         gram = build_gram(gen_xor(n // 4, 0.15, seed=0), KernelSpec(gaussian(1.0)))
         assert peak_bytes(_write_gram_csv, gram, tmp_path / "gram.csv") <= 1.1 * gram.nbytes

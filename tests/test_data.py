@@ -32,6 +32,7 @@ from invkern import (
     kmeans,
     load_csv,
     save_dataset,
+    spectral_cluster,
     top_norm_select,
     truncated_eig,
     write_float_rows,
@@ -91,6 +92,13 @@ MALFORMED_CALLS = {
     "write_float_rows-1d": lambda: write_float_rows(io.BytesIO(), np.ones(3), "\n"),
     "write_float_rows-short-labels": lambda: write_float_rows(
         io.BytesIO(), np.ones((3, 2)), "\n", [0, 1]),
+    "kmeans-negative-seed": lambda: kmeans(_P, 2, seed=-1),
+    "cluster_gram-float-seed": lambda: cluster_gram(_G, 2, seed=1.5),
+    "spectral_cluster-string-seed": lambda: spectral_cluster(_P, _SPEC, 2, seed="a"),
+    "gen_xor-negative-seed": lambda: gen_xor(2, 0.1, seed=-1),
+    "gen_flipped_blobs-float-seed": lambda: gen_flipped_blobs(2, 3, seed=1.5),
+    "gen_directions-string-seed": lambda: gen_directions(2, 10, seed="a"),
+    "check_invariance-negative-seed": lambda: check_invariance(_SPEC, _P, seed=-1),
 }
 
 
@@ -639,6 +647,31 @@ class TestFloatText:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
     def test_matches_repr(self, row):
         assert float_text([row]) == repr_rows([row])
+
+    @pytest.mark.parametrize("kind", ["integers", "subnormals", "ties", "non-finite"])
+    def test_matches_repr_where_repr_gives_the_digits(self, kind):
+        # Powers of two take the digits of their repr; subnormals, exact ties,
+        # NaN and infinities have it spliced in, -2.2250738585072014e-308
+        # filling the 24 bytes.  n + 0.25 scales to 10 n + 2.5, halfway
+        # between two 17-digit integers, for 2**50 <= n < 2**51, and to
+        # 100 n + 25, halfway between two multiples of 10 in its interval,
+        # for 2**49 <= n < 10**15.
+        rng = np.random.default_rng(29)
+        if kind == "integers":
+            values = rng.integers(-40, 41, (50, 40)).astype(float)
+        elif kind == "subnormals":
+            values = rng.integers(1, 2**52, (50, 40), dtype=np.uint64).view(np.float64)
+            values[::7, ::3] *= -1
+            values[1, 1:4] = [-2.2250738585072014e-308, 1e-310, 5e-324]
+        elif kind == "ties":
+            values = rng.integers(2**49, 2**51, (50, 40)) + rng.choice([0.25, 0.75], (50, 40))
+        else:
+            values = rng.standard_normal((50, 40))
+            values[rng.random(values.shape) < 0.2] = np.nan
+            values[rng.random(values.shape) < 0.1] = np.inf
+            values[rng.random(values.shape) < 0.1] = -np.inf
+            values[3, 5] = -2.2250738585072014e-308
+        assert float_text(values) == repr_rows(values)
 
     def test_rows_wider_than_a_chunk(self):
         values = np.random.default_rng(5).standard_normal((3, 20000)) * 1e3

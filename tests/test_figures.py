@@ -158,12 +158,22 @@ def test_heatmap_in_row_order_matches_reordered_matrix(monkeypatch, rows):
     (np.zeros((2, 3)), [0, 1]),
     (np.zeros((2, 2)), [0, 0]),
     (np.zeros((2, 2)), [0, 1, 2]),
+    (np.zeros((2, 2)), [True, False]),
 ])
 def test_heatmap_rejects_order_that_is_no_permutation(matrix, order):
     sink = ByteCounter()
     with pytest.raises(ValueError, match="permute"):
         heatmap_svg(matrix, sink, order=order)
     assert sink.written == 0
+
+
+def test_heatmap_reads_an_integral_float_order_as_indices():
+    matrix = np.arange(4.0).reshape(2, 2)
+    drawn = io.BytesIO()
+    heatmap_svg(matrix, drawn, order=[1, 0])
+    sink = io.BytesIO()
+    heatmap_svg(matrix, sink, order=[1.0, 0.0])
+    assert sink.getvalue() == drawn.getvalue()
 
 
 @pytest.mark.parametrize("matrix,message", [

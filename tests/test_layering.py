@@ -295,3 +295,16 @@ def test_one_float_text_writer():
         return False
 
     assert functions_where(repr_of_cells) == set()
+
+
+def test_one_digit_rule():
+    # A cell's digits come from data.write_float_rows' vectorized pick or
+    # from repr itself; a second exact digit routine, or a table of powers
+    # of two built through one, would be a fork of repr.
+    defined = {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert defined & {"_exact_digits", "_powers_of_two"} == set()
